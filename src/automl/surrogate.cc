@@ -18,6 +18,8 @@ Status SurrogateForest::Fit(const Matrix& X, const std::vector<double>& y) {
   trees_.clear();
   flat_.Clear();
   trees_.reserve(options_.n_trees);
+  Result<PresortedIndex> index = PresortedIndex::Build(X);
+  AUTOEM_RETURN_IF_ERROR(index.status());
   Rng rng(options_.seed);
   const size_t n = X.rows();
   for (int t = 0; t < options_.n_trees; ++t) {
@@ -30,14 +32,14 @@ Status SurrogateForest::Fit(const Matrix& X, const std::vector<double>& y) {
     // Bootstrap as integer weights.
     std::vector<double> w(n, 0.0);
     for (size_t k = 0; k < n; ++k) w[rng.UniformIndex(n)] += 1.0;
-    Status st = tree.Fit(X, y, &w);
+    Status st = tree.Fit(X, *index, y, &w);
     if (!st.ok() && st.code() == StatusCode::kInvalidArgument &&
         std::all_of(w.begin(), w.end(), [](double v) { return v <= 0.0; })) {
       // Degenerate bootstrap (no surviving weight — impossible with the
       // integer resampling above unless n == 0, but kept as a guard):
       // retry once on the unresampled sample. Every other error is real
       // and propagates instead of silently refitting on different data.
-      st = tree.Fit(X, y, nullptr);
+      st = tree.Fit(X, *index, y, nullptr);
     }
     if (!st.ok()) return st;
     trees_.push_back(std::move(tree));

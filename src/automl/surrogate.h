@@ -32,6 +32,7 @@ class SurrogateForest {
                       double* variance) const;
 
   bool fitted() const { return !trees_.empty(); }
+  const std::vector<RegressionTree>& trees() const { return trees_; }
 
  private:
   Options options_;

@@ -36,6 +36,8 @@ Status AdaBoostClassifier::Fit(const Matrix& X, const std::vector<int>& y,
   }
   for (double& wi : w) wi /= w_sum;
 
+  Result<PresortedIndex> index = PresortedIndex::Build(X);
+  AUTOEM_RETURN_IF_ERROR(index.status());
   Rng rng(options_.seed);
   TreeOptions tree_opt;
   tree_opt.max_depth = options_.base_max_depth;
@@ -44,7 +46,7 @@ Status AdaBoostClassifier::Fit(const Matrix& X, const std::vector<int>& y,
   for (int t = 0; t < options_.n_estimators; ++t) {
     tree_opt.seed = rng.engine()();
     DecisionTreeClassifier tree(tree_opt);
-    Status st = tree.Fit(X, y, &w);
+    Status st = tree.Fit(X, *index, y, &w);
     if (!st.ok()) break;
     std::vector<int> pred = tree.Predict(X);
 
@@ -76,7 +78,8 @@ Status AdaBoostClassifier::Fit(const Matrix& X, const std::vector<int>& y,
     tree_opt.seed = rng.engine()();
     trees_.emplace_back(tree_opt);
     alphas_.push_back(1.0);
-    AUTOEM_RETURN_IF_ERROR(trees_.back().Fit(X, y, sample_weights));
+    AUTOEM_RETURN_IF_ERROR(
+        trees_.back().Fit(X, *index, y, sample_weights));
   }
   return Status::OK();
 }

@@ -32,6 +32,7 @@ class AdaBoostClassifier : public Classifier {
   std::string name() const override { return "adaboost"; }
 
   size_t NumLearners() const { return trees_.size(); }
+  const std::vector<DecisionTreeClassifier>& trees() const { return trees_; }
 
  private:
   AdaBoostOptions options_;

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/parallelism.h"
 #include "common/params.h"
 #include "common/rng.h"
 #include "ml/model.h"
@@ -36,6 +37,48 @@ struct TreeOptions {
   fault::CancelToken cancel;
 };
 
+/// Every feature column's rows sorted once by the total (SplitValue, row)
+/// order, where SplitValue maps NaN to -inf: ties — including -0.0 next to
+/// +0.0 — are broken by ascending row id. Built once per ensemble fit and
+/// shared read-only by every tree, which copies out its positive-weight
+/// rows and then splits by stable partition instead of per-node sorts
+/// (DESIGN.md §13). Row ids are 16-bit up to 65,536 rows and 32-bit above.
+class PresortedIndex {
+ public:
+  /// Bytes per stored row id for a matrix of `rows` rows: 2 up to 65,536,
+  /// 4 up to UINT32_MAX, InvalidArgument past that (ids never truncate).
+  static Result<int> RowIdBytes(size_t rows);
+
+  /// Sorts every column of X, in parallel under `par`; `trace_label` names
+  /// the sorting span (obs/trace.h).
+  static Result<PresortedIndex> Build(
+      const Matrix& X, const Parallelism& par = Parallelism::Serial(),
+      const char* trace_label = "tree.presort");
+
+  size_t rows() const { return rows_; }
+  size_t cols() const { return cols_; }
+  bool wide() const { return !ids32_.empty(); }
+
+  /// Column f's row ids in (SplitValue, row) order; `Id` must match wide().
+  template <typename Id>
+  const Id* Column(size_t f) const;
+
+ private:
+  size_t rows_ = 0;
+  size_t cols_ = 0;
+  std::vector<uint16_t> ids16_;
+  std::vector<uint32_t> ids32_;
+};
+
+template <>
+inline const uint16_t* PresortedIndex::Column<uint16_t>(size_t f) const {
+  return ids16_.data() + f * rows_;
+}
+template <>
+inline const uint32_t* PresortedIndex::Column<uint32_t>(size_t f) const {
+  return ids32_.data() + f * rows_;
+}
+
 /// CART binary classification tree with sample weights and NaN routing
 /// (missing values always descend to the left child, so the same record is
 /// routed identically at train and inference time).
@@ -50,6 +93,11 @@ class DecisionTreeClassifier : public Classifier {
 
   Status Fit(const Matrix& X, const std::vector<int>& y,
              const std::vector<double>* sample_weights = nullptr) override;
+  /// Same fit against an index presorted from this X; ensembles build the
+  /// index once and pass it to every tree.
+  Status Fit(const Matrix& X, const PresortedIndex& index,
+             const std::vector<int>& y,
+             const std::vector<double>* sample_weights);
   std::vector<double> PredictProba(const Matrix& X) const override;
   std::unique_ptr<Classifier> CloneConfig() const override;
   std::string name() const override { return "decision_tree"; }
@@ -80,10 +128,6 @@ class DecisionTreeClassifier : public Classifier {
   const std::vector<Node>& nodes() const { return nodes_; }
 
  private:
-  int BuildNode(const Matrix& X, const std::vector<int>& y,
-                const std::vector<double>& w, std::vector<size_t>* indices,
-                int depth, Rng* rng);
-
   TreeOptions options_;
   std::vector<Node> nodes_;
 };
@@ -96,6 +140,10 @@ class RegressionTree {
 
   Status Fit(const Matrix& X, const std::vector<double>& y,
              const std::vector<double>* sample_weights = nullptr);
+  /// Same fit against an index presorted from this X.
+  Status Fit(const Matrix& X, const PresortedIndex& index,
+             const std::vector<double>& y,
+             const std::vector<double>* sample_weights);
   double PredictRow(const double* row) const;
   std::vector<double> Predict(const Matrix& X) const;
 
@@ -113,13 +161,31 @@ class RegressionTree {
   const std::vector<Node>& nodes() const { return nodes_; }
 
  private:
-  int BuildNode(const Matrix& X, const std::vector<double>& y,
-                const std::vector<double>& w, std::vector<size_t>* indices,
-                int depth, Rng* rng);
-
   TreeOptions options_;
   std::vector<Node> nodes_;
 };
+
+// ---- sort-based reference builder -------------------------------------------
+//
+// The per-node gather-and-sort CART builder, retained as the differential
+// oracle for the presorted splitter: per node and tried feature it gathers
+// (SplitValue, row) pairs, sorts them in the same total order and scans.
+// Same criteria, RNG draws and row-order node sums, so a presorted fit must
+// reproduce its nodes bit for bit. Never optimized; see DESIGN.md §13.
+namespace reference {
+
+/// Nodes of a classification tree fit on rows with positive weight in `w`;
+/// empty when no row has positive weight.
+std::vector<DecisionTreeClassifier::Node> FitClassifierNodes(
+    const Matrix& X, const std::vector<int>& y, const std::vector<double>& w,
+    const TreeOptions& options);
+
+/// Same for a regression (MSE) tree.
+std::vector<RegressionTree::Node> FitRegressionNodes(
+    const Matrix& X, const std::vector<double>& y,
+    const std::vector<double>& w, const TreeOptions& options);
+
+}  // namespace reference
 
 }  // namespace autoem
 

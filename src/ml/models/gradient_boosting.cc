@@ -46,6 +46,8 @@ Status GradientBoostingClassifier::Fit(
   double p = std::clamp(w_pos / w_total, 1e-6, 1.0 - 1e-6);
   initial_score_ = std::log(p / (1.0 - p));
 
+  Result<PresortedIndex> index = PresortedIndex::Build(X);
+  AUTOEM_RETURN_IF_ERROR(index.status());
   std::vector<double> score(n, initial_score_);
   std::vector<double> residual(n);
   Rng rng(options_.seed);
@@ -67,7 +69,7 @@ Status GradientBoostingClassifier::Fit(
     }
     tree_opt.seed = rng.engine()();
     RegressionTree tree(tree_opt);
-    Status st = tree.Fit(X, residual, &w);
+    Status st = tree.Fit(X, *index, residual, &w);
     if (!st.ok()) break;
     for (size_t i = 0; i < n; ++i) {
       score[i] += options_.learning_rate * tree.PredictRow(X.RowPtr(i));

@@ -35,6 +35,7 @@ class GradientBoostingClassifier : public Classifier {
   std::string name() const override { return "gradient_boosting"; }
 
   size_t NumStages() const { return stages_.size(); }
+  const std::vector<RegressionTree>& stages() const { return stages_; }
 
  private:
   GradientBoostingOptions options_;

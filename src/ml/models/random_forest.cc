@@ -69,32 +69,34 @@ Status RandomForestClassifier::Fit(const Matrix& X, const std::vector<int>& y,
   tree_opt.random_thresholds = options_.random_thresholds;
   tree_opt.cancel = cancel_;
 
+  // One (SplitValue, row) sort per feature, shared by every tree. Built
+  // first: it rejects row counts its ids cannot address before the bootstrap
+  // staging below sizes anything by them.
+  Result<PresortedIndex> index =
+      PresortedIndex::Build(X, options_.parallelism, "rf.presort");
+  AUTOEM_RETURN_IF_ERROR(index.status());
+
   Rng rng(options_.seed);
   const size_t n = X.rows();
   const size_t n_trees = static_cast<size_t>(options_.n_estimators);
   std::vector<double> base_w =
       sample_weights ? *sample_weights : std::vector<double>(n, 1.0);
 
-  // Every tree's randomness (split seed + bootstrap weights) is drawn from
-  // the root RNG *before* any tree trains, in the same interleaved order a
+  // Every tree's randomness (split seed + bootstrap draw) is drawn from the
+  // root RNG *before* any tree trains, in the same interleaved order a
   // serial loop would draw it. Tree t's inputs therefore do not depend on
   // trees 0..t-1 having trained, which makes the fitted forest bit-identical
   // at any thread count — and bit-identical to the historical serial
-  // implementation. Costs O(n_estimators * n_rows) doubles of transient
-  // memory for the staged bootstrap weights.
+  // implementation. Bootstraps are staged as O(n_estimators * n_rows)
+  // uint32_t draw counts; each tree forms its weights double(count) *
+  // base_w, the same value as summing 1.0 per draw and scaling after.
   std::vector<uint64_t> tree_seeds(n_trees);
-  std::vector<std::vector<double>> tree_weights(n_trees);
+  std::vector<uint32_t> draw_counts(options_.bootstrap ? n_trees * n : 0);
   for (size_t t = 0; t < n_trees; ++t) {
     tree_seeds[t] = rng.engine()();
-    std::vector<double>& w = tree_weights[t];
     if (options_.bootstrap) {
-      // Bootstrap resampling expressed as integer weights, scaled by any
-      // caller-provided sample weights.
-      w.assign(n, 0.0);
-      for (size_t k = 0; k < n; ++k) w[rng.UniformIndex(n)] += 1.0;
-      for (size_t k = 0; k < n; ++k) w[k] *= base_w[k];
-    } else {
-      w = base_w;
+      uint32_t* counts = draw_counts.data() + t * n;
+      for (size_t k = 0; k < n; ++k) ++counts[rng.UniformIndex(n)];
     }
   }
   for (size_t t = 0; t < n_trees; ++t) {
@@ -131,11 +133,18 @@ Status RandomForestClassifier::Fit(const Matrix& X, const std::vector<int>& y,
   Status loop_status = ParallelFor(
       options_.parallelism, n_trees, cancel_,
       [&](size_t t) {
-        Status st = trees_[t].Fit(X, y, &tree_weights[t]);
+        std::vector<double> w = base_w;
+        if (options_.bootstrap) {
+          const uint32_t* counts = draw_counts.data() + t * n;
+          for (size_t k = 0; k < n; ++k) {
+            w[k] = static_cast<double>(counts[k]) * base_w[k];
+          }
+        }
+        Status st = trees_[t].Fit(X, *index, y, &w);
         if (!st.ok() && st.code() == StatusCode::kInvalidArgument &&
-            degenerate_bootstrap(tree_weights[t])) {
+            degenerate_bootstrap(w)) {
           degenerate_retries->Add(1);
-          st = trees_[t].Fit(X, y, &base_w);
+          st = trees_[t].Fit(X, *index, y, &base_w);
         }
         tree_status[t] = st;
       },

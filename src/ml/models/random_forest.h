@@ -65,6 +65,7 @@ class RandomForestClassifier : public Classifier {
   std::vector<double> VoteConfidence(const Matrix& X) const;
 
   size_t NumTrees() const { return trees_.size(); }
+  const std::vector<DecisionTreeClassifier>& trees() const { return trees_; }
   const RandomForestOptions& options() const { return options_; }
 
  private:

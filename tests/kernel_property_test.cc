@@ -1,6 +1,7 @@
-// Differential and property tests for the fast similarity kernels and the
-// flattened forest traversal (DESIGN.md §13). The scalar reference kernels
-// under `autoem::reference` and the per-tree node walks are the oracles;
+// Differential and property tests for the fast similarity kernels, the
+// flattened forest traversal and the presorted tree splitter (DESIGN.md
+// §13). The scalar reference kernels and the sort-based tree builder under
+// `autoem::reference` and the per-tree node walks are the oracles;
 // every fast path must agree *exactly* — bit-identical doubles, equal
 // integers — on random and hostile inputs. These tests are what license
 // future rewrites of the fast paths.
@@ -9,15 +10,21 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "automl/surrogate.h"
 #include "common/rng.h"
+#include "ml/models/adaboost.h"
 #include "ml/models/decision_tree.h"
 #include "ml/models/flat_forest.h"
+#include "ml/models/gradient_boosting.h"
+#include "ml/models/linear_common.h"
 #include "ml/models/random_forest.h"
+#include "preprocess/balancing.h"
 #include "text/interner.h"
 #include "text/similarity.h"
 #include "text/tokenizer.h"
@@ -449,6 +456,514 @@ TEST(FlatForestDifferential, ForestPredictionsThreadCountInvariant) {
   for (size_t r = 0; r < kRows; ++r) {
     EXPECT_EQ(p1[r], p2[r]) << "row " << r;
     EXPECT_EQ(p1[r], p8[r]) << "row " << r;
+  }
+}
+
+// ---- presorted tree splitter vs sort-based reference ------------------------
+
+using ClassNodes = std::vector<DecisionTreeClassifier::Node>;
+using RegNodes = std::vector<RegressionTree::Node>;
+
+uint64_t Bits(double v) {
+  uint64_t b;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+double Payload(const DecisionTreeClassifier::Node& n) {
+  return n.prob_positive;
+}
+double Payload(const RegressionTree::Node& n) { return n.value; }
+
+// Node for node, exactly: feature, threshold bits, children, payload bits.
+template <typename Node>
+void ExpectSameNodes(const std::vector<Node>& got,
+                     const std::vector<Node>& want, const std::string& ctx) {
+  ASSERT_EQ(got.size(), want.size()) << ctx;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].feature, want[i].feature) << ctx << " node " << i;
+    EXPECT_EQ(Bits(got[i].threshold), Bits(want[i].threshold))
+        << ctx << " node " << i;
+    EXPECT_EQ(got[i].left, want[i].left) << ctx << " node " << i;
+    EXPECT_EQ(got[i].right, want[i].right) << ctx << " node " << i;
+    EXPECT_EQ(Bits(Payload(got[i])), Bits(Payload(want[i])))
+        << ctx << " node " << i;
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+template <typename Node>
+double WalkNodes(const std::vector<Node>& nodes, const double* row) {
+  int cur = 0;
+  while (nodes[cur].feature >= 0) {
+    double v = row[nodes[cur].feature];
+    if (std::isnan(v)) v = -std::numeric_limits<double>::infinity();
+    cur = v <= nodes[cur].threshold ? nodes[cur].left : nodes[cur].right;
+  }
+  return Payload(nodes[cur]);
+}
+
+// Columns that stress the pinned (SplitValue, row) tie order: heavy ties,
+// NaN (splits as -inf), ±inf, -0.0 next to +0.0, a constant column, and a
+// dyadic grid whose midpoints are exact.
+Matrix HostileTreeMatrix(Rng* rng, size_t rows, size_t cols) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  Matrix X(rows, cols);
+  for (size_t c = 0; c < cols; ++c) {
+    for (size_t r = 0; r < rows; ++r) {
+      double v = 0.0;
+      switch (c % 6) {
+        case 0:
+          v = static_cast<double>(rng->UniformIndex(3));
+          break;
+        case 1:
+          v = rng->UniformIndex(4) == 0 ? kNaN : rng->Uniform(-1.0, 1.0);
+          break;
+        case 2: {
+          const uint64_t k = rng->UniformIndex(6);
+          v = k == 0 ? kInf : k == 1 ? -kInf : k == 2 ? kNaN
+                                                      : rng->Uniform(-5, 5);
+          break;
+        }
+        case 3:
+          v = rng->UniformIndex(5) == 0 ? rng->Uniform(-1.0, 1.0)
+              : rng->UniformIndex(2)    ? 0.0
+                                        : -0.0;
+          break;
+        case 4:
+          v = 7.0;
+          break;
+        default:
+          v = static_cast<double>(rng->UniformIndex(40)) / 8.0 - 2.0;
+          break;
+      }
+      X.At(r, c) = v;
+    }
+  }
+  return X;
+}
+
+// Labels driven by the tie-heavy columns plus 15% noise, so trees grow deep.
+std::vector<int> NoisyLabels(Rng* rng, const Matrix& X) {
+  std::vector<int> y(X.rows());
+  for (size_t r = 0; r < X.rows(); ++r) {
+    const double s = X.At(r, 0) + (X.cols() > 5 ? X.At(r, 5) : 0.0);
+    y[r] = (s > 1.5) != (rng->UniformIndex(100) < 15) ? 1 : 0;
+  }
+  return y;
+}
+
+enum class WeightKind { kUnit, kZeros, kFractional, kBalancedBootstrap };
+
+std::vector<double> MakeWeights(Rng* rng, const std::vector<int>& y,
+                                WeightKind kind) {
+  const size_t n = y.size();
+  std::vector<double> w(n, 1.0);
+  switch (kind) {
+    case WeightKind::kUnit:
+      break;
+    case WeightKind::kZeros:
+      for (double& wi : w) {
+        wi = rng->UniformIndex(3) == 0
+                 ? 0.0
+                 : static_cast<double>(1 + rng->UniformIndex(3));
+      }
+      break;
+    case WeightKind::kFractional:
+      for (double& wi : w) {
+        wi = rng->UniformIndex(8) == 0 ? 0.0 : rng->Uniform(0.05, 2.5);
+      }
+      break;
+    case WeightKind::kBalancedBootstrap: {
+      // The forest's weights under balancing:strategy=weighting.
+      std::vector<double> base = *BalancedClassWeights(y);
+      std::vector<uint32_t> counts(n, 0);
+      for (size_t k = 0; k < n; ++k) ++counts[rng->UniformIndex(n)];
+      for (size_t k = 0; k < n; ++k) {
+        w[k] = static_cast<double>(counts[k]) * base[k];
+      }
+      break;
+    }
+  }
+  return w;
+}
+
+constexpr WeightKind kWeightKinds[] = {
+    WeightKind::kUnit, WeightKind::kZeros, WeightKind::kFractional,
+    WeightKind::kBalancedBootstrap};
+
+// Extra-Trees × max_depth × (min_samples_leaf, min_samples_split) ×
+// min_impurity_decrease × max_features.
+std::vector<TreeOptions> TreeOptionGrid() {
+  std::vector<TreeOptions> grid;
+  for (bool extra : {false, true}) {
+    for (int depth : {0, 3}) {
+      for (int leaf : {1, 4}) {
+        for (double min_decrease : {0.0, 0.005}) {
+          for (double max_features : {1.0, 0.4}) {
+            TreeOptions o;
+            o.random_thresholds = extra;
+            o.max_depth = depth;
+            o.min_samples_leaf = leaf;
+            o.min_samples_split = leaf == 1 ? 2 : 10;
+            o.min_impurity_decrease = min_decrease;
+            o.max_features = max_features;
+            grid.push_back(o);
+          }
+        }
+      }
+    }
+  }
+  return grid;
+}
+
+std::string Describe(const TreeOptions& o, int kind, uint64_t seed) {
+  return o.criterion + " extra=" + std::to_string(o.random_thresholds) +
+         " depth=" + std::to_string(o.max_depth) +
+         " leaf=" + std::to_string(o.min_samples_leaf) +
+         " min_dec=" + std::to_string(o.min_impurity_decrease) +
+         " max_feat=" + std::to_string(o.max_features) +
+         " weights=" + std::to_string(kind) + " seed=" + std::to_string(seed);
+}
+
+TEST(TreeSplitterDifferential, ClassifierMatchesReferenceNodeForNode) {
+  Rng rng(301);
+  for (uint64_t seed : {1u, 2u}) {
+    const Matrix X = HostileTreeMatrix(&rng, 240, 8);
+    const std::vector<int> y = NoisyLabels(&rng, X);
+    for (int kind = 0; kind < 4; ++kind) {
+      const std::vector<double> w = MakeWeights(&rng, y, kWeightKinds[kind]);
+      for (const char* criterion : {"gini", "entropy"}) {
+        for (TreeOptions opt : TreeOptionGrid()) {
+          opt.criterion = criterion;
+          opt.seed = seed * 1000 + static_cast<uint64_t>(kind);
+          DecisionTreeClassifier tree(opt);
+          ASSERT_TRUE(tree.Fit(X, y, &w).ok());
+          ExpectSameNodes(tree.nodes(),
+                          reference::FitClassifierNodes(X, y, w, opt),
+                          Describe(opt, kind, seed));
+          if (HasFailure()) return;
+        }
+      }
+    }
+  }
+}
+
+TEST(TreeSplitterDifferential, RegressionMatchesReferenceNodeForNode) {
+  Rng rng(307);
+  for (uint64_t seed : {1u, 2u}) {
+    const Matrix X = HostileTreeMatrix(&rng, 240, 8);
+    const std::vector<int> labels = NoisyLabels(&rng, X);
+    // Tied targets (a residual-like grid) plus continuous noise.
+    std::vector<double> y(X.rows());
+    for (size_t r = 0; r < y.size(); ++r) {
+      y[r] = labels[r] - 0.25 * static_cast<double>(rng.UniformIndex(3)) +
+             (r % 4 == 0 ? rng.Uniform(-0.1, 0.1) : 0.0);
+    }
+    for (int kind = 0; kind < 4; ++kind) {
+      const std::vector<double> w =
+          MakeWeights(&rng, labels, kWeightKinds[kind]);
+      for (TreeOptions opt : TreeOptionGrid()) {
+        opt.seed = seed * 1000 + static_cast<uint64_t>(kind);
+        RegressionTree tree(opt);
+        ASSERT_TRUE(tree.Fit(X, y, &w).ok());
+        opt.criterion = "mse";
+        ExpectSameNodes(tree.nodes(),
+                        reference::FitRegressionNodes(X, y, w, opt),
+                        Describe(opt, kind, seed));
+        if (HasFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(TreeSplitterDifferential, ZeroWeightsAndShapeMismatchAreRejected) {
+  Rng rng(311);
+  const Matrix X = HostileTreeMatrix(&rng, 50, 6);
+  const std::vector<int> y = NoisyLabels(&rng, X);
+  const std::vector<double> zeros(X.rows(), 0.0);
+  DecisionTreeClassifier tree;
+  EXPECT_EQ(tree.Fit(X, y, &zeros).code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(reference::FitClassifierNodes(X, y, zeros, {}).empty());
+
+  // An index must come from a matrix of the same shape.
+  const Matrix other = HostileTreeMatrix(&rng, 49, 6);
+  auto index = PresortedIndex::Build(other);
+  ASSERT_TRUE(index.ok());
+  EXPECT_EQ(tree.Fit(X, *index, y, nullptr).code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(TreeSplitterDifferential, RowIdWidthFollowsRowCount) {
+  EXPECT_EQ(*PresortedIndex::RowIdBytes(1), 2);
+  EXPECT_EQ(*PresortedIndex::RowIdBytes(65536), 2);
+  EXPECT_EQ(*PresortedIndex::RowIdBytes(65537), 4);
+  EXPECT_EQ(*PresortedIndex::RowIdBytes(std::numeric_limits<uint32_t>::max()),
+            4);
+  auto past = PresortedIndex::RowIdBytes(
+      size_t{std::numeric_limits<uint32_t>::max()} + 1);
+  ASSERT_FALSE(past.ok());
+  EXPECT_EQ(past.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(TreeSplitterDifferential, MatchesReferenceAcross65536Rows) {
+  // Tall and narrow at the id-width boundary: 16-bit ids at 65,536 rows,
+  // 32-bit ids one row later.
+  for (size_t rows : {size_t{65536}, size_t{65537}}) {
+    Rng rng(313 + rows);
+    Matrix X(rows, 3);
+    for (size_t r = 0; r < rows; ++r) {
+      X.At(r, 0) = static_cast<double>(rng.UniformIndex(50));
+      X.At(r, 1) = rng.UniformIndex(10) == 0
+                       ? std::numeric_limits<double>::quiet_NaN()
+                       : static_cast<double>(rng.UniformIndex(400)) / 16.0;
+      X.At(r, 2) = rng.UniformIndex(2) ? 0.0 : -0.0;
+    }
+    std::vector<int> y(rows);
+    for (size_t r = 0; r < rows; ++r) {
+      y[r] = (X.At(r, 0) > 20.0) != (rng.UniformIndex(10) == 0) ? 1 : 0;
+    }
+    auto index = PresortedIndex::Build(X);
+    ASSERT_TRUE(index.ok());
+    EXPECT_EQ(index->wide(), rows > 65536);
+    const std::vector<double> w =
+        MakeWeights(&rng, y, WeightKind::kBalancedBootstrap);
+    TreeOptions opt;
+    opt.max_depth = 4;
+    opt.seed = rows;
+    DecisionTreeClassifier tree(opt);
+    ASSERT_TRUE(tree.Fit(X, *index, y, &w).ok());
+    ExpectSameNodes(tree.nodes(), reference::FitClassifierNodes(X, y, w, opt),
+                    "rows=" + std::to_string(rows));
+  }
+}
+
+// Ensemble oracles: each re-derives its ensemble's RNG draws and weights and
+// fits every member with the reference builder.
+
+// Forest and surrogate draw (seed, then n bootstrap indices) per tree.
+std::vector<std::vector<double>> StagedBootstraps(
+    Rng* rng, size_t n_trees, const std::vector<double>& base_w,
+    std::vector<uint64_t>* seeds) {
+  const size_t n = base_w.size();
+  std::vector<std::vector<double>> weights(n_trees);
+  for (size_t t = 0; t < n_trees; ++t) {
+    seeds->push_back(rng->engine()());
+    std::vector<double> counts(n, 0.0);
+    for (size_t k = 0; k < n; ++k) counts[rng->UniformIndex(n)] += 1.0;
+    for (size_t k = 0; k < n; ++k) weights[t].push_back(counts[k] * base_w[k]);
+  }
+  return weights;
+}
+
+std::vector<ClassNodes> ReferenceForest(const Matrix& X,
+                                        const std::vector<int>& y,
+                                        const std::vector<double>& base_w,
+                                        const RandomForestOptions& o) {
+  Rng rng(o.seed);
+  std::vector<uint64_t> seeds;
+  auto weights = StagedBootstraps(&rng, o.n_estimators, base_w, &seeds);
+  std::vector<ClassNodes> trees;
+  for (size_t t = 0; t < weights.size(); ++t) {
+    TreeOptions opt;
+    opt.criterion = o.criterion;
+    opt.max_depth = o.max_depth;
+    opt.min_samples_split = o.min_samples_split;
+    opt.min_samples_leaf = o.min_samples_leaf;
+    opt.max_features = o.max_features;
+    opt.min_impurity_decrease = o.min_impurity_decrease;
+    opt.random_thresholds = o.random_thresholds;
+    opt.seed = seeds[t];
+    trees.push_back(reference::FitClassifierNodes(X, y, weights[t], opt));
+  }
+  return trees;
+}
+
+std::vector<RegNodes> ReferenceSurrogate(const Matrix& X,
+                                         const std::vector<double>& y,
+                                         const SurrogateForest::Options& o) {
+  Rng rng(o.seed);
+  std::vector<uint64_t> seeds;
+  auto weights = StagedBootstraps(&rng, o.n_trees,
+                                  std::vector<double>(X.rows(), 1.0), &seeds);
+  std::vector<RegNodes> trees;
+  for (size_t t = 0; t < weights.size(); ++t) {
+    TreeOptions opt;
+    opt.min_samples_leaf = o.min_samples_leaf;
+    opt.min_samples_split = 2 * o.min_samples_leaf;
+    opt.max_features = o.max_features;
+    opt.seed = seeds[t];
+    trees.push_back(reference::FitRegressionNodes(X, y, weights[t], opt));
+  }
+  return trees;
+}
+
+std::vector<ClassNodes> ReferenceAdaBoost(const Matrix& X,
+                                          const std::vector<int>& y,
+                                          const AdaBoostOptions& o) {
+  const size_t n = X.rows();
+  std::vector<double> w(n, 1.0 / static_cast<double>(n));
+  Rng rng(o.seed);
+  TreeOptions opt;
+  opt.max_depth = o.base_max_depth;
+  opt.min_samples_leaf = 1;
+  std::vector<ClassNodes> trees;
+  for (int t = 0; t < o.n_estimators; ++t) {
+    opt.seed = rng.engine()();
+    ClassNodes nodes = reference::FitClassifierNodes(X, y, w, opt);
+    std::vector<int> pred(n);
+    double err = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+      pred[i] = WalkNodes(nodes, X.RowPtr(i)) >= 0.5 ? 1 : 0;
+      if (pred[i] != y[i]) err += w[i];
+    }
+    if (err >= 0.5) break;
+    err = std::max(err, 1e-10);
+    const double alpha = o.learning_rate * 0.5 * std::log((1.0 - err) / err);
+    trees.push_back(std::move(nodes));
+    if (err <= 1e-10) break;
+    double sum = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+      w[i] *= std::exp((pred[i] == y[i] ? -1.0 : 1.0) * alpha * 2.0);
+      sum += w[i];
+    }
+    for (double& wi : w) wi /= sum;
+  }
+  return trees;
+}
+
+std::vector<RegNodes> ReferenceGbm(const Matrix& X, const std::vector<int>& y,
+                                   const GradientBoostingOptions& o) {
+  const size_t n = X.rows();
+  double w_pos = 0.0;
+  for (int label : y) w_pos += label == 1 ? 1.0 : 0.0;
+  const double p =
+      std::clamp(w_pos / static_cast<double>(n), 1e-6, 1.0 - 1e-6);
+  std::vector<double> score(n, std::log(p / (1.0 - p)));
+  std::vector<double> residual(n);
+  Rng rng(o.seed);
+  TreeOptions opt;
+  opt.max_depth = o.max_depth;
+  opt.min_samples_leaf = o.min_samples_leaf;
+  std::vector<RegNodes> trees;
+  for (int t = 0; t < o.n_estimators; ++t) {
+    for (size_t i = 0; i < n; ++i) {
+      residual[i] = (y[i] == 1 ? 1.0 : 0.0) - Sigmoid(score[i]);
+    }
+    std::vector<double> w(n, 1.0);
+    if (o.subsample < 1.0) {
+      for (size_t i = 0; i < n; ++i) {
+        if (!rng.Bernoulli(o.subsample)) w[i] = 0.0;
+      }
+    }
+    opt.seed = rng.engine()();
+    RegNodes nodes = reference::FitRegressionNodes(X, residual, w, opt);
+    for (size_t i = 0; i < n; ++i) {
+      score[i] += o.learning_rate * WalkNodes(nodes, X.RowPtr(i));
+    }
+    trees.push_back(std::move(nodes));
+  }
+  return trees;
+}
+
+template <typename Tree, typename Node>
+void ExpectSameTrees(const std::vector<Tree>& got,
+                     const std::vector<std::vector<Node>>& want,
+                     const std::string& ctx) {
+  ASSERT_EQ(got.size(), want.size()) << ctx;
+  for (size_t t = 0; t < got.size(); ++t) {
+    ExpectSameNodes(got[t].nodes(), want[t], ctx + " tree " +
+                                                 std::to_string(t));
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+TEST(TreeSplitterDifferential, ForestMatchesReferenceAt1_2_8Threads) {
+  Rng rng(317);
+  const Matrix X = HostileTreeMatrix(&rng, 300, 12);
+  const std::vector<int> y = NoisyLabels(&rng, X);
+  const std::vector<double> balanced = *BalancedClassWeights(y);
+  for (bool extra : {false, true}) {
+    RandomForestOptions o;
+    o.n_estimators = 12;
+    o.random_thresholds = extra;
+    o.criterion = extra ? "entropy" : "gini";
+    o.max_features = 0.3;
+    o.seed = 41;
+    const auto want = ReferenceForest(X, y, balanced, o);
+    for (int threads : {1, 2, 8}) {
+      o.parallelism = Parallelism::Threads(threads);
+      RandomForestClassifier rf(o);
+      ASSERT_TRUE(rf.Fit(X, y, &balanced).ok());
+      ExpectSameTrees(rf.trees(), want,
+                      "extra=" + std::to_string(extra) +
+                          " threads=" + std::to_string(threads));
+    }
+  }
+}
+
+TEST(TreeSplitterDifferential, BoostingAndSurrogateMatchReferenceAt1_2_8Threads) {
+  // Several ensembles fit concurrently: the shared-per-ensemble index and
+  // per-tree buffers must not leak state between fits on any thread count.
+  Rng rng(331);
+  const Matrix X = HostileTreeMatrix(&rng, 180, 7);
+  const std::vector<int> y = NoisyLabels(&rng, X);
+  std::vector<double> y_reg(y.size());
+  for (size_t r = 0; r < y.size(); ++r) {
+    y_reg[r] = 0.5 * y[r] + 0.125 * static_cast<double>(r % 3);
+  }
+  constexpr size_t kJobs = 4;
+  std::vector<std::vector<ClassNodes>> want_ada(kJobs);
+  std::vector<std::vector<RegNodes>> want_gbm(kJobs), want_sur(kJobs);
+  auto ada_opt = [](size_t j) {
+    AdaBoostOptions o;
+    o.n_estimators = 8;
+    o.base_max_depth = 2;
+    o.seed = 50 + j;
+    return o;
+  };
+  auto gbm_opt = [](size_t j) {
+    GradientBoostingOptions o;
+    o.n_estimators = 8;
+    o.subsample = 0.7;
+    o.seed = 60 + j;
+    return o;
+  };
+  auto sur_opt = [](size_t j) {
+    SurrogateForest::Options o;
+    o.n_trees = 6;
+    o.seed = 70 + j;
+    return o;
+  };
+  for (size_t j = 0; j < kJobs; ++j) {
+    want_ada[j] = ReferenceAdaBoost(X, y, ada_opt(j));
+    want_gbm[j] = ReferenceGbm(X, y, gbm_opt(j));
+    want_sur[j] = ReferenceSurrogate(X, y_reg, sur_opt(j));
+  }
+  for (int threads : {1, 2, 8}) {
+    std::vector<AdaBoostClassifier> ada;
+    std::vector<GradientBoostingClassifier> gbm;
+    std::vector<SurrogateForest> sur;
+    for (size_t j = 0; j < kJobs; ++j) {
+      ada.emplace_back(ada_opt(j));
+      gbm.emplace_back(gbm_opt(j));
+      sur.emplace_back(sur_opt(j));
+    }
+    std::vector<Status> status(3 * kJobs);
+    ParallelFor(Parallelism::Threads(threads), 3 * kJobs, [&](size_t i) {
+      const size_t j = i / 3;
+      status[i] = i % 3 == 0   ? ada[j].Fit(X, y)
+                  : i % 3 == 1 ? gbm[j].Fit(X, y)
+                               : sur[j].Fit(X, y_reg);
+    });
+    for (const Status& st : status) ASSERT_TRUE(st.ok()) << st.message();
+    const std::string ctx = " threads=" + std::to_string(threads);
+    for (size_t j = 0; j < kJobs; ++j) {
+      ExpectSameTrees(ada[j].trees(), want_ada[j], "adaboost" + ctx);
+      ExpectSameTrees(gbm[j].stages(), want_gbm[j], "gbm" + ctx);
+      ExpectSameTrees(sur[j].trees(), want_sur[j], "surrogate" + ctx);
+    }
   }
 }
 
