@@ -2,6 +2,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <utility>
 
 #include "active/active_checkpoint.h"
@@ -12,6 +13,7 @@
 #include "em/matcher.h"
 #include "io/model_io.h"
 #include "io/serialize.h"
+#include "obs/trace.h"
 #include "text/tfidf.h"
 
 namespace autoem {
@@ -152,6 +154,66 @@ std::vector<Seed> SerializeSeeds() {
   // Fit, zero mutations — exercises the must-succeed round-trip branch.
   seeds.push_back(
       {"tfidf_surgery", std::string("\x04\x00\x00\x01\x00\x00\x00\x00", 8)});
+  return seeds;
+}
+
+std::vector<Seed> JsonSeeds() {
+  std::vector<Seed> seeds;
+  // A real trace: fixed events through the tracer's own writer. Thread
+  // names are process-wide, so this runs before anything starts a pool.
+  auto record = [](const char* name, char ph, unsigned tid, uint64_t ts,
+                   uint64_t dur, uint64_t flow_id) {
+    obs::TraceEvent e;
+    e.name = name;
+    e.ph = ph;
+    e.tid = tid;
+    e.ts_us = ts;
+    e.dur_us = dur;
+    e.flow_id = flow_id;
+    if (name == nullptr) {  // an owned label that needs escaping, with args
+      e.owned_name = "trial \"7\"\t\xc3\xa9";
+      e.args_json = "\"rows\":42,\"label\":\"a\\\\b\"";
+    }
+    obs::internal::RecordEvent(std::move(e));
+  };
+  obs::StartTracing();
+  record("automl.search", 'X', 1, 0, 100, 0);
+  record("pool.task", 's', 1, 10, 0, 1);
+  record("pool.task", 'X', 2, 20, 30, 0);
+  record("pool.task", 'f', 2, 20, 0, 1);
+  record(nullptr, 'X', 1, 60, 5, 0);
+  obs::StopTracing();
+  seeds.push_back({"trace", obs::TraceJson()});
+  seeds.push_back(
+      {"trace_array",
+       "[{\"name\":\"a\",\"ph\":\"X\",\"tid\":\"3\",\"ts\":5,"
+       "\"dur\":10}]"});
+  seeds.push_back(
+      {"bench",
+       "{\"meta\":{\"cpu_model\":\"Xeon\",\"git_sha\":\"abc123\","
+       "\"threads\":4,\"dirty\":false,\"note\":null},\"cases\":[\n"
+       "{\"name\":\"BM_Score/1\",\"params\":{},\"counters\":"
+       "{\"bench_compare.runs\":3},\"seconds\":0.0068679359907474905},\n"
+       "{\"name\":\"BM_Score/1\",\"seconds\":6.8005564590181461e-05},\n"
+       "{\"name\":\"fig.f1\",\"counters\":{\"f1\":0.92}}\n]}\n"});
+  seeds.push_back(
+      {"escapes",
+       "[\"\\u00e9\\ud83d\\ude00\\ud800x\\u0000\","
+       "\"\\\"\\\\\\/\\b\\f\\n\\r\\t\",\"raw \xc3\xa9\"]"});
+  seeds.push_back({"duplicate_keys", "{\"a\":1,\"a\":[true,null],\"a\":{}}"});
+  seeds.push_back({"metrics_jsonl", "{\"a\":1}\n{\"b\":}\n"});
+  seeds.push_back({"depth_64", std::string(64, '[') + std::string(64, ']')});
+  seeds.push_back(
+      {"deep_nesting",
+       "{\"traceEvents\":[],\"x\":" + std::string(200000, '[')});
+  const char* bad_numbers[] = {"+1-2e", "0x10", "+5",  "1.",  ".5",
+                               "01",    "-",    "1e999", "inf", "nan"};
+  for (size_t i = 0; i < std::size(bad_numbers); ++i) {
+    seeds.push_back({"bad_number_" + std::to_string(i),
+                     "{\"traceEvents\":[{\"name\":\"a\",\"ph\":\"X\","
+                     "\"tid\":1,\"ts\":" +
+                         std::string(bad_numbers[i]) + ",\"dur\":10}]}"});
+  }
   return seeds;
 }
 
@@ -401,6 +463,7 @@ Status WriteSeedDir(const std::string& dir, const std::string& harness,
 }  // namespace
 
 Status WriteSeedCorpus(const std::string& dir, bool with_model) {
+  AUTOEM_RETURN_IF_ERROR(WriteSeedDir(dir, "json", JsonSeeds()));
   AUTOEM_RETURN_IF_ERROR(WriteSeedDir(dir, "csv", CsvSeeds()));
   AUTOEM_RETURN_IF_ERROR(WriteSeedDir(dir, "config_io", ConfigSeeds()));
   AUTOEM_RETURN_IF_ERROR(

@@ -46,6 +46,11 @@ std::vector<Seed> CheckpointSeeds();
 /// section-table reader without requiring a trained model.
 std::vector<Seed> ModelEnvelopeSeeds();
 
+/// JSON documents for the json harness: a real TraceJson trace, a bench
+/// artifact, escapes, a 200,000-deep array, depth 64, and numbers outside
+/// the JSON grammar.
+std::vector<Seed> JsonSeeds();
+
 /// A populated two-trial checkpoint with quarantine hashes and resource
 /// samples — the "rich" fixture behind CheckpointSeeds and the
 /// corruption-matrix tests.

@@ -1,7 +1,6 @@
 #include "obs/critical_path.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
 #include <map>
 #include <numeric>
@@ -225,273 +224,91 @@ class CriticalPathWalker {
 };
 
 // ---------------------------------------------------------------------------
-// Minimal JSON reader for the trace files this repo writes. Only the shapes
-// TraceJson() produces are understood deeply (an object with a "traceEvents"
-// array of flat event objects); everything else is skipped structurally, so
-// hand-edited or foreign traces at least fail cleanly.
+// Trace reading. Only the fields AnalyzeTrace uses are kept; everything else
+// is skipped through the reader, so foreign traces at least fail cleanly.
 
-class JsonCursor {
- public:
-  explicit JsonCursor(const std::string& text) : text_(text) {}
-
-  bool AtEnd() {
-    SkipWs();
-    return pos_ >= text_.size();
+// tid / ts / dur / id: a non-negative number below `limit`, truncated. Some
+// producers quote flow ids, so a string holding a JSON number also counts.
+uint64_t ReadTraceCount(JsonReader* in, const std::string& field,
+                        double limit) {
+  double value = 0;
+  std::string quoted;
+  bool read = in->Peek() == '"'
+                  ? in->ReadString(&quoted) && ParseJsonNumber(quoted, &value)
+                  : in->ReadNumber(&value);
+  if (!read || !(value >= 0 && value < limit)) {
+    in->Fail("bad numeric field '" + field + "'");
+    return 0;
   }
+  return static_cast<uint64_t>(value);
+}
 
-  char Peek() {
-    SkipWs();
-    return pos_ < text_.size() ? text_[pos_] : '\0';
+// One traceEvents entry; pushed to `out` when it is a span or flow end.
+void ReadTraceEvent(JsonReader* in, std::string* key,
+                    std::vector<TraceEvent>* out) {
+  constexpr double kTidLimit = 4294967296.0;              // 2^32
+  constexpr double kCountLimit = 18446744073709551616.0;  // 2^64
+  if (in->Peek() != '{') {
+    in->Fail("traceEvents entry must be an object");
+    return;
   }
-
-  bool Consume(char c) {
-    SkipWs();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool ParseString(std::string* out) {
-    SkipWs();
-    if (pos_ >= text_.size() || text_[pos_] != '"') return false;
-    ++pos_;
-    out->clear();
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) return false;
-        char esc = text_[pos_++];
-        switch (esc) {
-          case '"': out->push_back('"'); break;
-          case '\\': out->push_back('\\'); break;
-          case '/': out->push_back('/'); break;
-          case 'b': out->push_back('\b'); break;
-          case 'f': out->push_back('\f'); break;
-          case 'n': out->push_back('\n'); break;
-          case 'r': out->push_back('\r'); break;
-          case 't': out->push_back('\t'); break;
-          case 'u': {
-            // Keep the label readable without a full UTF-16 decoder: escape
-            // sequences outside ASCII degrade to '?'.
-            if (pos_ + 4 > text_.size()) return false;
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              char h = text_[pos_++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') {
-                code |= static_cast<unsigned>(h - '0');
-              } else if (h >= 'a' && h <= 'f') {
-                code |= static_cast<unsigned>(h - 'a' + 10);
-              } else if (h >= 'A' && h <= 'F') {
-                code |= static_cast<unsigned>(h - 'A' + 10);
-              } else {
-                return false;
-              }
-            }
-            out->push_back(code < 128 ? static_cast<char>(code) : '?');
-            break;
-          }
-          default: return false;
-        }
-      } else {
-        out->push_back(c);
-      }
-    }
-    return false;  // unterminated
-  }
-
-  bool ParseNumber(double* out) {
-    SkipWs();
-    size_t start = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) {
-      ++pos_;
-    }
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '-' || text_[pos_] == '+')) {
-      ++pos_;
-    }
-    if (pos_ == start) return false;
-    try {
-      *out = std::stod(text_.substr(start, pos_ - start));
-    } catch (...) {
-      return false;
-    }
-    return true;
-  }
-
-  bool SkipLiteral(const char* lit) {
-    SkipWs();
-    size_t n = 0;
-    while (lit[n] != '\0') ++n;
-    if (text_.compare(pos_, n, lit) != 0) return false;
-    pos_ += n;
-    return true;
-  }
-
-  // Skips one JSON value of any shape.
-  bool SkipValue() {
-    SkipWs();
-    if (pos_ >= text_.size()) return false;
-    char c = text_[pos_];
-    if (c == '"') {
-      std::string scratch;
-      return ParseString(&scratch);
-    }
-    if (c == '{' || c == '[') {
-      char open = c;
-      char close = (c == '{') ? '}' : ']';
-      ++pos_;
-      if (Consume(close)) return true;
-      for (;;) {
-        if (open == '{') {
-          std::string key;
-          if (!ParseString(&key) || !Consume(':')) return false;
-        }
-        if (!SkipValue()) return false;
-        if (Consume(close)) return true;
-        if (!Consume(',')) return false;
-      }
-    }
-    if (c == 't') return SkipLiteral("true");
-    if (c == 'f') return SkipLiteral("false");
-    if (c == 'n') return SkipLiteral("null");
-    double scratch;
-    return ParseNumber(&scratch);
-  }
-
- private:
-  void SkipWs() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
+  TraceEvent event{};
+  event.ph = '\0';  // an event without a phase is skipped
+  in->BeginObject();
+  while (in->NextKey(key)) {
+    if (*key == "name") {
+      in->ReadString(&event.owned_name);
+    } else if (*key == "ph") {
+      std::string ph;
+      if (in->ReadString(&ph) && ph.empty()) in->Fail("empty event ph");
+      event.ph = ph.empty() ? '\0' : ph[0];
+    } else if (*key == "tid") {
+      event.tid = static_cast<unsigned>(ReadTraceCount(in, *key, kTidLimit));
+    } else if (*key == "ts") {
+      event.ts_us = ReadTraceCount(in, *key, kCountLimit);
+    } else if (*key == "dur") {
+      event.dur_us = ReadTraceCount(in, *key, kCountLimit);
+    } else if (*key == "id") {
+      event.flow_id = ReadTraceCount(in, *key, kCountLimit);
+    } else {
+      in->SkipValue();
     }
   }
+  if (in->ok() && (event.ph == 'X' || event.ph == 's' || event.ph == 'f')) {
+    out->push_back(std::move(event));
+  }
+}
 
-  const std::string& text_;
-  size_t pos_ = 0;
-};
+void ReadTraceEvents(JsonReader* in, std::vector<TraceEvent>* out) {
+  std::string key;
+  in->BeginArray();
+  while (in->NextElement()) ReadTraceEvent(in, &key, out);
+}
 
+// Accepts both Chrome trace layouts: the TraceJson object with a
+// "traceEvents" array, and a bare array of events.
 Status ParseTraceEventsJson(const std::string& trace_json,
                             std::vector<TraceEvent>* out) {
-  JsonCursor cur(trace_json);
-  if (!cur.Consume('{')) {
-    return Status::InvalidArgument("trace: expected top-level JSON object");
-  }
-  bool saw_trace_events = false;
-  if (!cur.Consume('}')) {
-    for (;;) {
-      std::string key;
-      if (!cur.ParseString(&key) || !cur.Consume(':')) {
-        return Status::InvalidArgument("trace: malformed object key");
-      }
-      if (key != "traceEvents") {
-        if (!cur.SkipValue()) {
-          return Status::InvalidArgument("trace: malformed value for '" + key +
-                                         "'");
-        }
+  JsonReader in(trace_json);
+  std::string key;
+  bool saw_events = in.Peek() == '[';
+  if (saw_events) {
+    ReadTraceEvents(&in, out);
+  } else if (in.BeginObject()) {
+    while (in.NextKey(&key)) {
+      if (key == "traceEvents") {
+        saw_events = true;
+        ReadTraceEvents(&in, out);
       } else {
-        saw_trace_events = true;
-        if (!cur.Consume('[')) {
-          return Status::InvalidArgument("trace: traceEvents must be an array");
-        }
-        if (!cur.Consume(']')) {
-          for (;;) {
-            if (!cur.Consume('{')) {
-              return Status::InvalidArgument(
-                  "trace: traceEvents entry must be an object");
-            }
-            TraceEvent event;
-            event.name = nullptr;
-            event.ph = '\0';
-            event.tid = 0;
-            event.ts_us = 0;
-            if (!cur.Consume('}')) {
-              for (;;) {
-                std::string field;
-                if (!cur.ParseString(&field) || !cur.Consume(':')) {
-                  return Status::InvalidArgument("trace: malformed event key");
-                }
-                if (field == "name") {
-                  if (!cur.ParseString(&event.owned_name)) {
-                    return Status::InvalidArgument("trace: bad event name");
-                  }
-                } else if (field == "ph") {
-                  std::string ph;
-                  if (!cur.ParseString(&ph) || ph.empty()) {
-                    return Status::InvalidArgument("trace: bad event ph");
-                  }
-                  event.ph = ph[0];
-                } else if (field == "tid" || field == "ts" || field == "dur" ||
-                           field == "id") {
-                  double value = 0;
-                  bool ok;
-                  if (cur.Peek() == '"') {
-                    // Some producers emit flow ids as strings.
-                    std::string s;
-                    ok = cur.ParseString(&s);
-                    if (ok) {
-                      try {
-                        value = std::stod(s);
-                      } catch (...) {
-                        ok = false;
-                      }
-                    }
-                  } else {
-                    ok = cur.ParseNumber(&value);
-                  }
-                  if (!ok || value < 0) {
-                    return Status::InvalidArgument("trace: bad numeric field '" +
-                                                   field + "'");
-                  }
-                  if (field == "tid") {
-                    event.tid = static_cast<unsigned>(value);
-                  } else if (field == "ts") {
-                    event.ts_us = static_cast<uint64_t>(value);
-                  } else if (field == "dur") {
-                    event.dur_us = static_cast<uint64_t>(value);
-                  } else {
-                    event.flow_id = static_cast<uint64_t>(value);
-                  }
-                } else {
-                  if (!cur.SkipValue()) {
-                    return Status::InvalidArgument(
-                        "trace: malformed value for event field '" + field +
-                        "'");
-                  }
-                }
-                if (cur.Consume('}')) break;
-                if (!cur.Consume(',')) {
-                  return Status::InvalidArgument(
-                      "trace: expected ',' or '}' in event");
-                }
-              }
-            }
-            if (event.ph == 'X' || event.ph == 's' || event.ph == 'f') {
-              out->push_back(std::move(event));
-            }
-            if (cur.Consume(']')) break;
-            if (!cur.Consume(',')) {
-              return Status::InvalidArgument(
-                  "trace: expected ',' or ']' in traceEvents");
-            }
-          }
-        }
-      }
-      if (cur.Consume('}')) break;
-      if (!cur.Consume(',')) {
-        return Status::InvalidArgument("trace: expected ',' or '}'");
+        in.SkipValue();
       }
     }
   }
-  if (!cur.AtEnd()) {
-    return Status::InvalidArgument("trace: trailing data after JSON object");
+  in.End();
+  if (!in.ok()) {
+    return Status::InvalidArgument("trace: " + in.status().message());
   }
-  if (!saw_trace_events) {
+  if (!saw_events) {
     return Status::InvalidArgument("trace: no traceEvents array");
   }
   return Status::OK();

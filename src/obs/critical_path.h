@@ -99,9 +99,10 @@ struct TraceAnalysis {
 Result<TraceAnalysis> AnalyzeTrace(const std::vector<TraceEvent>& events);
 
 /// Parses Chrome trace_event JSON (the TraceJson / WriteTrace layout: a
-/// "traceEvents" array of objects with name/ph/tid/ts/dur/id) and analyzes
-/// it. Unknown keys and event phases are skipped; InvalidArgument on
-/// malformed JSON or a missing traceEvents array.
+/// "traceEvents" array of objects with name/ph/tid/ts/dur/id, or a bare
+/// array of such objects) through obs::JsonReader and analyzes it. Unknown
+/// keys and event phases are skipped; InvalidArgument on malformed JSON or
+/// a missing traceEvents array.
 Result<TraceAnalysis> AnalyzeTraceJson(const std::string& trace_json);
 
 /// Human-readable "where the time went" rendering: wall clock, the ranked

@@ -1,9 +1,6 @@
 #include "obs/report.h"
 
 #include <algorithm>
-#include <cstdint>
-#include <cstdlib>
-#include <map>
 #include <vector>
 
 #include "obs/critical_path.h"
@@ -51,21 +48,6 @@ std::vector<std::string> SplitCsvRow(const std::string& line) {
   return fields;
 }
 
-/// Strict JSON-number check so CSV fields can be embedded verbatim. Hex
-/// config hashes that happen to be all decimal digits are excluded by the
-/// caller (hash/failure columns are always quoted).
-bool IsJsonNumber(const std::string& s) {
-  if (s.empty()) return false;
-  const char* p = s.c_str();
-  char* end = nullptr;
-  double v = std::strtod(p, &end);
-  if (end != p + s.size()) return false;
-  // strtod accepts "inf"/"nan", which JSON does not.
-  return v == v && v <= 1.7e308 && v >= -1.7e308 && (s[0] == '-' || s[0] == '+'
-             ? (s.size() > 1 && s[1] >= '0' && s[1] <= '9')
-             : (s[0] >= '0' && s[0] <= '9'));
-}
-
 bool QuotedColumn(const std::string& name) {
   return name == "config_hash" || name == "failure" ||
          name == "failure_message";
@@ -88,7 +70,8 @@ std::string TrajectoryToJson(const std::string& csv) {
       if (c > 0) out += ",";
       out += JsonQuote(header[c]);
       out += ":";
-      if (!QuotedColumn(header[c]) && IsJsonNumber(fields[c])) {
+      double number = 0;
+      if (!QuotedColumn(header[c]) && ParseJsonNumber(fields[c], &number)) {
         out += fields[c];
       } else {
         out += JsonQuote(fields[c]);
@@ -100,8 +83,12 @@ std::string TrajectoryToJson(const std::string& csv) {
   return out;
 }
 
+bool IsJsonObject(const std::string& text) {
+  return !text.empty() && text.front() == '{' && ValidateJson(text).ok();
+}
+
 /// Classifies the metrics file and emits the three payload fields. Formats:
-///  * jsonl  — every nonempty line is a `{...}` snapshot -> series + final;
+///  * jsonl  — every nonempty line is one JSON object -> series + final;
 ///  * json   — one pretty object (the default end-of-run snapshot) -> final;
 ///  * openmetrics — anything else -> raw text, parsed client-side.
 void AppendMetricsJson(const std::string& metrics_text, std::string* out) {
@@ -117,7 +104,7 @@ void AppendMetricsJson(const std::string& metrics_text, std::string* out) {
     std::string t = Trimmed(line);
     if (t.empty()) continue;
     lines.push_back(t);
-    if (t.front() != '{' || t.back() != '}') all_objects = false;
+    if (!IsJsonObject(t)) all_objects = false;
   }
   if (all_objects && !lines.empty()) {
     // JSONL time series (a single snapshot line is a series of one).
@@ -130,7 +117,7 @@ void AppendMetricsJson(const std::string& metrics_text, std::string* out) {
     *out += "\n],\"metrics_final\":";
     *out += lines.back();
     *out += ",\"metrics_raw\":null";
-  } else if (trimmed.front() == '{') {
+  } else if (IsJsonObject(trimmed)) {
     *out += "\"metrics_series\":null,\"metrics_final\":";
     *out += trimmed;
     *out += ",\"metrics_raw\":null";
@@ -141,52 +128,23 @@ void AppendMetricsJson(const std::string& metrics_text, std::string* out) {
   }
 }
 
-struct SpanAgg {
-  uint64_t count = 0;
-  uint64_t total_us = 0;
-};
-
-/// Summarizes a Chrome trace produced by TraceJson: per-span-name counts
-/// and total duration. Scans our own writer's layout (`{"name":<q>,...,
-/// "dur":<n>`) rather than pulling in a JSON parser.
-std::string TraceSummaryJson(const std::string& trace_json) {
-  std::map<std::string, SpanAgg> by_name;
-  uint64_t events = 0;
-  const std::string open = "{\"name\":\"";
-  size_t pos = 0;
-  while ((pos = trace_json.find(open, pos)) != std::string::npos) {
-    pos += open.size();
-    std::string name;
-    while (pos < trace_json.size() && trace_json[pos] != '"') {
-      if (trace_json[pos] == '\\' && pos + 1 < trace_json.size()) ++pos;
-      name += trace_json[pos];
-      ++pos;
-    }
-    size_t dur = trace_json.find("\"dur\":", pos);
-    if (dur == std::string::npos) break;
-    dur += 6;
-    uint64_t dur_us = std::strtoull(trace_json.c_str() + dur, nullptr, 10);
-    SpanAgg& agg = by_name[name];
-    agg.count += 1;
-    agg.total_us += dur_us;
-    ++events;
-    pos = dur;
-  }
-  if (events == 0) return "null";
-  std::vector<std::pair<std::string, SpanAgg>> rows(by_name.begin(),
-                                                    by_name.end());
-  std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
-    return a.second.total_us > b.second.total_us;
+/// The top span names of the trace by total duration: the analysis's blame
+/// rows, which count every complete span once.
+std::string TraceSummaryJson(const TraceAnalysis& analysis) {
+  std::vector<const BlameRow*> rows;
+  for (const BlameRow& row : analysis.blame) rows.push_back(&row);
+  std::sort(rows.begin(), rows.end(), [](const BlameRow* a, const BlameRow* b) {
+    if (a->total_us != b->total_us) return a->total_us > b->total_us;
+    return a->name < b->name;
   });
   if (rows.size() > 40) rows.resize(40);
-  std::string out = "{\"events\":" + std::to_string(events) + ",\"spans\":[";
+  std::string out =
+      "{\"events\":" + std::to_string(analysis.span_count) + ",\"spans\":[";
   for (size_t i = 0; i < rows.size(); ++i) {
     if (i > 0) out += ",";
-    out += "\n{\"name\":" + JsonQuote(rows[i].first) +
-           ",\"count\":" + std::to_string(rows[i].second.count) +
-           ",\"total_ms\":" +
-           JsonNumber(static_cast<double>(rows[i].second.total_us) / 1000.0) +
-           "}";
+    out += "\n{\"name\":" + JsonQuote(rows[i]->name) +
+           ",\"count\":" + std::to_string(rows[i]->count) + ",\"total_ms\":" +
+           JsonNumber(static_cast<double>(rows[i]->total_us) / 1000.0) + "}";
   }
   out += "\n]}";
   return out;
@@ -727,17 +685,13 @@ std::string BuildRunReportHtml(const ReportInputs& inputs) {
   payload += inputs.trajectory_csv.empty() ? "false" : "true";
   payload += ",";
   AppendMetricsJson(inputs.metrics_text, &payload);
+  // Span summary and critical-path / blame analysis (obs v4), both from
+  // one parse of the trace. null when there is no trace or it has no spans.
+  auto analysis = AnalyzeTraceJson(inputs.trace_json);
   payload += ",\"trace\":";
-  payload += TraceSummaryJson(inputs.trace_json);
-  // Critical-path / blame analysis (obs v4): computed from the same trace
-  // the timeline uses. null when there is no trace or it has no spans.
+  payload += analysis.ok() ? TraceSummaryJson(*analysis) : "null";
   payload += ",\"critical\":";
-  if (inputs.trace_json.empty()) {
-    payload += "null";
-  } else {
-    auto analysis = AnalyzeTraceJson(inputs.trace_json);
-    payload += analysis.ok() ? AnalysisJson(*analysis) : "null";
-  }
+  payload += analysis.ok() ? AnalysisJson(*analysis) : "null";
   payload += ",\"profile\":";
   payload += inputs.profile_folded.empty() ? "null"
                                            : JsonQuote(inputs.profile_folded);

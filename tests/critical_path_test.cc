@@ -5,8 +5,6 @@
 // matched by exactly one `f`, blame partition exact, critical path covering
 // the wall clock) must hold for whatever schedule the machine produced.
 #include <atomic>
-#include <cctype>
-#include <cstring>
 #include <map>
 #include <set>
 #include <string>
@@ -16,6 +14,7 @@
 
 #include "common/thread_pool.h"
 #include "obs/critical_path.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/resource.h"
 #include "obs/trace.h"
@@ -23,161 +22,8 @@
 namespace autoem {
 namespace {
 
-// ---- mini JSON validator (same grammar checker as obs_test.cc) ------------
-
-class JsonValidator {
- public:
-  explicit JsonValidator(const std::string& text) : text_(text) {}
-
-  bool Valid() {
-    SkipWs();
-    if (!Value()) return false;
-    SkipWs();
-    return pos_ == text_.size();
-  }
-
- private:
-  bool Value() {
-    if (pos_ >= text_.size()) return false;
-    switch (text_[pos_]) {
-      case '{':
-        return Object();
-      case '[':
-        return Array();
-      case '"':
-        return String();
-      case 't':
-        return Literal("true");
-      case 'f':
-        return Literal("false");
-      case 'n':
-        return Literal("null");
-      default:
-        return Number();
-    }
-  }
-
-  bool Object() {
-    ++pos_;
-    SkipWs();
-    if (Peek() == '}') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      SkipWs();
-      if (!String()) return false;
-      SkipWs();
-      if (Peek() != ':') return false;
-      ++pos_;
-      SkipWs();
-      if (!Value()) return false;
-      SkipWs();
-      if (Peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (Peek() == '}') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  bool Array() {
-    ++pos_;
-    SkipWs();
-    if (Peek() == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      SkipWs();
-      if (!Value()) return false;
-      SkipWs();
-      if (Peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (Peek() == ']') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  bool String() {
-    if (Peek() != '"') return false;
-    ++pos_;
-    while (pos_ < text_.size()) {
-      char c = text_[pos_];
-      if (c == '"') {
-        ++pos_;
-        return true;
-      }
-      if (static_cast<unsigned char>(c) < 0x20) return false;
-      if (c == '\\') {
-        ++pos_;
-        if (pos_ >= text_.size()) return false;
-        char e = text_[pos_];
-        if (e == 'u') {
-          for (int k = 1; k <= 4; ++k) {
-            if (pos_ + k >= text_.size() ||
-                !std::isxdigit(static_cast<unsigned char>(text_[pos_ + k]))) {
-              return false;
-            }
-          }
-          pos_ += 4;
-        } else if (std::strchr("\"\\/bfnrt", e) == nullptr) {
-          return false;
-        }
-      }
-      ++pos_;
-    }
-    return false;
-  }
-
-  static bool IsDigit(char c) { return c >= '0' && c <= '9'; }
-
-  bool Number() {
-    size_t start = pos_;
-    if (Peek() == '-') ++pos_;
-    while (IsDigit(Peek())) ++pos_;
-    if (Peek() == '.') {
-      ++pos_;
-      while (IsDigit(Peek())) ++pos_;
-    }
-    if (Peek() == 'e' || Peek() == 'E') {
-      ++pos_;
-      if (Peek() == '+' || Peek() == '-') ++pos_;
-      while (IsDigit(Peek())) ++pos_;
-    }
-    return pos_ > start && IsDigit(text_[pos_ - 1]);
-  }
-
-  bool Literal(const char* word) {
-    size_t len = std::strlen(word);
-    if (text_.compare(pos_, len, word) != 0) return false;
-    pos_ += len;
-    return true;
-  }
-
-  char Peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
-  void SkipWs() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
-
 bool IsValidJson(const std::string& text) {
-  return JsonValidator(text).Valid();
+  return obs::ValidateJson(text).ok();
 }
 
 // ---- hand-built event helpers ---------------------------------------------
@@ -386,6 +232,44 @@ TEST(CriticalPathTest, RejectsMalformedAndEmptyTraces) {
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_EQ(ok->span_count, 1u);
   EXPECT_EQ(ok->wall_us, 10u);
+  // Nesting is bounded: a 200,000-deep array beside traceEvents is an
+  // error, not a stack overflow. 64 open containers parse, 65 do not.
+  auto with_sibling = [](const std::string& sibling) {
+    return "{\"x\":" + sibling +
+           ",\"traceEvents\":[{\"name\":\"a\",\"ph\":\"X\",\"tid\":1,"
+           "\"ts\":0,\"dur\":1}]}";
+  };
+  auto nested = [](size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_EQ(obs::AnalyzeTraceJson(with_sibling(std::string(200000, '[')))
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(obs::AnalyzeTraceJson(with_sibling(nested(63))).ok());
+  EXPECT_EQ(obs::AnalyzeTraceJson(with_sibling(nested(64))).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(CriticalPathTest, NumericFieldsUseTheJsonNumberGrammar) {
+  auto trace = [](const std::string& ts) {
+    return "{\"traceEvents\":[{\"name\":\"a\",\"ph\":\"X\",\"tid\":1,"
+           "\"ts\":" + ts + ",\"dur\":10}]}";
+  };
+  for (const char* good : {"5", "5.9", "5e0", "\"5\""}) {
+    auto analysis = obs::AnalyzeTraceJson(trace(good));
+    ASSERT_TRUE(analysis.ok()) << good << ": " << analysis.status().ToString();
+    EXPECT_EQ(analysis->trace_start_us, 5u) << good;
+  }
+  // Anything outside the JSON number grammar is an error, quoted or not
+  // ("+1-2e" is not 1), and so is a value that does not fit the field.
+  for (const char* bad :
+       {"+1-2e", "+1", "0x10", "1.", ".5", "01", "-", "-1", "1e999", "2e19",
+        "\"+1\"", "\" 5\"", "\"0x10\"", "\"inf\"", "\"nan\""}) {
+    EXPECT_EQ(obs::AnalyzeTraceJson(trace(bad)).status().code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+  }
 }
 
 TEST(CriticalPathTest, AnalysisJsonIsValidAndCarriesQueueStats) {

@@ -13,6 +13,7 @@
 #include "automl/evaluator.h"
 #include "io/atomic_file.h"
 #include "obs/flusher.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/resource.h"
@@ -401,6 +402,49 @@ TEST(RunReportTest, EscapesHostileTitleAndPayload) {
   // The only "</script>" occurrences are the document's own closing tags;
   // the payload's embedded one must be escaped to <\/script>.
   EXPECT_NE(html.find("<\\/script>"), std::string::npos);
+}
+
+// The JSON payload a report embeds, as the page's JSON.parse sees it.
+std::string ReportPayload(const std::string& html) {
+  const std::string open = "<script id=\"payload\" type=\"application/json\">";
+  size_t begin = html.find(open);
+  if (begin == std::string::npos) return "";
+  begin += open.size();
+  return html.substr(begin, html.find("</script>", begin) - begin);
+}
+
+TEST(RunReportTest, TrajectoryFieldsOutsideTheNumberGrammarAreQuoted) {
+  obs::ReportInputs inputs;
+  inputs.trajectory_csv =
+      "trial,valid_f1,test_f1,fit_seconds\n0,0x10,+5,1.\n1,0.5,-2e-3,1e999\n";
+  std::string payload = ReportPayload(obs::BuildRunReportHtml(inputs));
+  Status parsed = obs::ValidateJson(payload);
+  EXPECT_TRUE(parsed.ok()) << parsed.ToString() << "\n" << payload;
+  EXPECT_NE(payload.find("\"valid_f1\":\"0x10\""), std::string::npos);
+  EXPECT_NE(payload.find("\"test_f1\":\"+5\""), std::string::npos);
+  EXPECT_NE(payload.find("\"fit_seconds\":\"1.\""), std::string::npos);
+  EXPECT_NE(payload.find("\"fit_seconds\":\"1e999\""), std::string::npos);
+  EXPECT_NE(payload.find("\"valid_f1\":0.5"), std::string::npos);
+  EXPECT_NE(payload.find("\"test_f1\":-2e-3"), std::string::npos);
+}
+
+TEST(RunReportTest, MetricsLinesThatDoNotParseStayRawText) {
+  obs::ReportInputs inputs;
+  inputs.trajectory_csv = SerializeTrajectoryCsv(MakeTrajectory());
+  inputs.metrics_text = "{\"a\":1}\n{\"b\":}";
+  std::string payload = ReportPayload(obs::BuildRunReportHtml(inputs));
+  Status parsed = obs::ValidateJson(payload);
+  EXPECT_TRUE(parsed.ok()) << parsed.ToString() << "\n" << payload;
+  EXPECT_NE(payload.find("\"metrics_series\":null"), std::string::npos);
+  EXPECT_NE(payload.find("\"metrics_final\":null"), std::string::npos);
+  EXPECT_NE(payload.find("\"metrics_raw\":\"{\\\"a\\\":1}\\n{\\\"b\\\":}\""),
+            std::string::npos);
+
+  // Well-formed lines are still a series.
+  inputs.metrics_text = "{\"a\":1}\n{\"a\":2}\n";
+  payload = ReportPayload(obs::BuildRunReportHtml(inputs));
+  EXPECT_TRUE(obs::ValidateJson(payload).ok()) << payload;
+  EXPECT_NE(payload.find("\"metrics_final\":{\"a\":2}"), std::string::npos);
 }
 
 TEST(RunReportTest, MinimalTrajectoryOnlyReportStillBuilds) {

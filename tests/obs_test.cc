@@ -3,7 +3,6 @@
 // instrumentation never changes computed results.
 #include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -20,171 +19,15 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "obs/critical_path.h"
+#include "obs/json.h"
 #include "obs/obs.h"
 
 namespace autoem {
 namespace {
 
-// ---- mini JSON validator --------------------------------------------------
-// The repo deliberately has no JSON parser dependency; the emitted trace and
-// metrics files only need to be *checkable*, so this is a strict
-// recursive-descent validator over the JSON grammar (objects, arrays,
-// strings with escapes, numbers, true/false/null).
-
-class JsonValidator {
- public:
-  explicit JsonValidator(const std::string& text) : text_(text) {}
-
-  bool Valid() {
-    SkipWs();
-    if (!Value()) return false;
-    SkipWs();
-    return pos_ == text_.size();
-  }
-
- private:
-  bool Value() {
-    if (pos_ >= text_.size()) return false;
-    switch (text_[pos_]) {
-      case '{':
-        return Object();
-      case '[':
-        return Array();
-      case '"':
-        return String();
-      case 't':
-        return Literal("true");
-      case 'f':
-        return Literal("false");
-      case 'n':
-        return Literal("null");
-      default:
-        return Number();
-    }
-  }
-
-  bool Object() {
-    ++pos_;  // '{'
-    SkipWs();
-    if (Peek() == '}') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      SkipWs();
-      if (!String()) return false;
-      SkipWs();
-      if (Peek() != ':') return false;
-      ++pos_;
-      SkipWs();
-      if (!Value()) return false;
-      SkipWs();
-      if (Peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (Peek() == '}') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  bool Array() {
-    ++pos_;  // '['
-    SkipWs();
-    if (Peek() == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      SkipWs();
-      if (!Value()) return false;
-      SkipWs();
-      if (Peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (Peek() == ']') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  bool String() {
-    if (Peek() != '"') return false;
-    ++pos_;
-    while (pos_ < text_.size()) {
-      char c = text_[pos_];
-      if (c == '"') {
-        ++pos_;
-        return true;
-      }
-      if (static_cast<unsigned char>(c) < 0x20) return false;  // raw control
-      if (c == '\\') {
-        ++pos_;
-        if (pos_ >= text_.size()) return false;
-        char e = text_[pos_];
-        if (e == 'u') {
-          for (int k = 1; k <= 4; ++k) {
-            if (pos_ + k >= text_.size() ||
-                !std::isxdigit(
-                    static_cast<unsigned char>(text_[pos_ + k]))) {
-              return false;
-            }
-          }
-          pos_ += 4;
-        } else if (std::strchr("\"\\/bfnrt", e) == nullptr) {
-          return false;
-        }
-      }
-      ++pos_;
-    }
-    return false;
-  }
-
-  static bool IsDigit(char c) { return c >= '0' && c <= '9'; }
-
-  bool Number() {
-    size_t start = pos_;
-    if (Peek() == '-') ++pos_;
-    while (IsDigit(Peek())) ++pos_;
-    if (Peek() == '.') {
-      ++pos_;
-      while (IsDigit(Peek())) ++pos_;
-    }
-    if (Peek() == 'e' || Peek() == 'E') {
-      ++pos_;
-      if (Peek() == '+' || Peek() == '-') ++pos_;
-      while (IsDigit(Peek())) ++pos_;
-    }
-    return pos_ > start && IsDigit(text_[pos_ - 1]);
-  }
-
-  bool Literal(const char* word) {
-    size_t len = std::strlen(word);
-    if (text_.compare(pos_, len, word) != 0) return false;
-    pos_ += len;
-    return true;
-  }
-
-  char Peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
-  void SkipWs() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
-
 bool IsValidJson(const std::string& text) {
-  return JsonValidator(text).Valid();
+  return obs::ValidateJson(text).ok();
 }
 
 std::string ReadFile(const std::string& path) {
@@ -210,6 +53,67 @@ TEST(JsonValidatorTest, AcceptsAndRejects) {
   EXPECT_FALSE(IsValidJson("[1 2]"));
   EXPECT_FALSE(IsValidJson("\"unterminated"));
   EXPECT_FALSE(IsValidJson("nan"));
+}
+
+// ---- JsonReader grammar ---------------------------------------------------
+
+TEST(JsonReaderTest, AcceptsAndRejectsByGrammarTable) {
+  struct Case {
+    std::string doc;
+    bool valid;
+  };
+  auto nested = [](size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  const Case cases[] = {
+      // Numbers.
+      {"0", true}, {"-0", true}, {"10", true}, {"1.5e-3", true},
+      {"-12E+2", true}, {"4.9e-324", true}, {"01", false}, {"-01", false},
+      {"00", false}, {"1.", false}, {".5", false}, {"+1", false},
+      {"-", false}, {"1e", false}, {"1e+", false}, {"0x10", false},
+      {"inf", false}, {"-inf", false}, {"nan", false}, {"1e999", false},
+      // Strings.
+      {"\"\"", true}, {"\"\\u00e9\\ud83d\\ude00\"", true},
+      {"\"\\ud800\"", true}, {"\"a\x01" "b\"", false},
+      {std::string("\"a\0b\"", 5), false}, {"\"a\tb\"", false},
+      {"\"\\u12\"", false}, {"\"\\u00g0\"", false}, {"\"\\u", false},
+      {"\"\\x\"", false}, {"\"abc", false},
+      // Whitespace and trailing data.
+      {" \t\r\n[1] \t\r\n", true}, {"\v1", false}, {"1\f", false},
+      {"{} x", false}, {"[1]]", false}, {"", false}, {"  ", false},
+      // Containers and literals.
+      {"{}", true}, {"[]", true}, {"{ }", true}, {"[ ]", true},
+      {"[true,false,null]", true}, {"tru", false}, {"nul", false},
+      {"[1,]", false}, {"[,1]", false}, {"{\"a\" 1}", false},
+      {"{\"a\":1,}", false}, {"{1:2}", false}, {"[1}", false},
+      {"{\"a\":1,\"a\":2}", true}, {nested(64), true}, {nested(65), false},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(obs::ValidateJson(c.doc).ok(), c.valid) << "'" << c.doc << "'";
+  }
+}
+
+TEST(JsonReaderTest, DecodesEscapesToUtf8AndReportsOffsets) {
+  const std::string doc = "\"\\u00e9 \\ud83d\\ude00 \\ud800 \\/\\b\\t\"";
+  obs::JsonReader reader(doc);
+  std::string s;
+  ASSERT_TRUE(reader.ReadString(&s) && reader.End())
+      << reader.status().ToString();
+  EXPECT_EQ(s, "\xc3\xa9 \xf0\x9f\x98\x80 \xed\xa0\x80 /\b\t");
+  EXPECT_EQ(obs::ValidateJson("[1,]").message(),
+            "json: unexpected character at offset 3");
+  EXPECT_EQ(obs::ValidateJson(std::string(65, '[')).message(),
+            "json: nesting deeper than 64 at offset 64");
+}
+
+TEST(JsonReaderTest, DuplicateKeysLastOneWins) {
+  // The reader reports every member; readers that store by key keep the
+  // last, as the trace reader does for an event's fields.
+  auto analysis = obs::AnalyzeTraceJson(
+      "{\"traceEvents\":[{\"name\":\"a\",\"ph\":\"X\",\"tid\":1,\"ts\":0,"
+      "\"dur\":5,\"dur\":10}]}");
+  ASSERT_TRUE(analysis.ok()) << analysis.status().ToString();
+  EXPECT_EQ(analysis->wall_us, 10u);
 }
 
 // ---- metrics --------------------------------------------------------------

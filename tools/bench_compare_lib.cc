@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 
+#include "io/atomic_file.h"
 #include "obs/json.h"
 
 namespace autoem {
@@ -15,203 +12,117 @@ namespace tools {
 
 namespace {
 
-// ---- minimal JSON reader ---------------------------------------------------
-// The artifacts are produced by our own writers, but CI must fail with a
-// message — not UB — on a truncated upload, so this is a real (if small)
-// recursive-descent parser over the full JSON grammar.
+// `runs` saturates here so a hostile file cannot overflow it.
+constexpr int kMaxRuns = 1 << 20;
 
-struct Json {
-  enum Type { kNull, kBool, kNumber, kString, kObject, kArray };
-  Type type = kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string str;
-  std::map<std::string, Json> object;
-  std::vector<Json> array;
-
-  const Json* Find(const std::string& key) const {
-    auto it = object.find(key);
-    return it == object.end() ? nullptr : &it->second;
+// Repeated runs of one case (google-benchmark repetitions in one file, or
+// one case across files) keep the best seconds and add up their runs.
+void MergeCase(const BenchCaseStat& stat,
+               std::map<std::string, BenchCaseStat>* cases) {
+  auto [it, inserted] = cases->emplace(stat.name, stat);
+  if (inserted) return;
+  BenchCaseStat& existing = it->second;
+  if (stat.seconds > 0 &&
+      (existing.seconds == 0 || stat.seconds < existing.seconds)) {
+    existing.seconds = stat.seconds;
   }
-};
+  existing.runs = std::min(existing.runs + stat.runs, kMaxRuns);
+}
 
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
+// The artifacts come from our own writers, but CI must fail with a message
+// (not UB) on a truncated upload. Duplicate keys: the last one wins.
 
-  Result<Json> Parse() {
-    Json value;
-    AUTOEM_RETURN_IF_ERROR(ParseValue(&value, 0));
-    SkipSpace();
-    if (pos_ != text_.size()) return Error("trailing characters");
-    return value;
+// Enters an object value; any other kind is skipped.
+bool EnterObject(obs::JsonReader* in) {
+  if (in->Peek() == '{') return in->BeginObject();
+  in->SkipValue();
+  return false;
+}
+
+bool AtNumber(obs::JsonReader* in) {
+  char c = in->Peek();
+  return c == '-' || (c >= '0' && c <= '9');
+}
+
+// A number value, or 0 (skipping the value) for any other kind.
+double NumberOrZero(obs::JsonReader* in) {
+  double value = 0;
+  if (AtNumber(in)) {
+    in->ReadNumber(&value);
+  } else {
+    in->SkipValue();
   }
+  return value;
+}
 
- private:
-  static constexpr int kMaxDepth = 64;
-
-  Status Error(const std::string& what) const {
-    return Status::InvalidArgument("json: " + what + " at offset " +
-                                   std::to_string(pos_));
+// Meta values as text: strings verbatim, numbers as %.17g, booleans by
+// name; null, objects and arrays read as "".
+std::string MetaText(obs::JsonReader* in) {
+  std::string text;
+  char c = in->Peek();
+  if (c == '"') {
+    in->ReadString(&text);
+  } else if (AtNumber(in)) {
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.17g", NumberOrZero(in));
+    text = buf;
+  } else {
+    if (c == 't') text = "true";
+    if (c == 'f') text = "false";
+    in->SkipValue();
   }
+  return text;
+}
 
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
+void ReadMeta(obs::JsonReader* in, std::map<std::string, std::string>* meta) {
+  meta->clear();
+  std::string key;
+  if (!EnterObject(in)) return;
+  while (in->NextKey(&key)) (*meta)[key] = MetaText(in);
+}
+
+// counters."bench_compare.runs" when it is a number >= 1, else 1.
+int ReadRuns(obs::JsonReader* in) {
+  int runs = 1;
+  std::string key;
+  if (!EnterObject(in)) return runs;
+  while (in->NextKey(&key)) {
+    if (key != "bench_compare.runs") {
+      in->SkipValue();
+      continue;
     }
+    double value = NumberOrZero(in);
+    runs = value >= 1 ? static_cast<int>(std::min<double>(value, kMaxRuns))
+                      : 1;
   }
+  return runs;
+}
 
-  bool Consume(char c) {
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  Status ParseValue(Json* out, int depth) {
-    if (depth > kMaxDepth) return Error("nesting too deep");
-    SkipSpace();
-    if (pos_ >= text_.size()) return Error("unexpected end of input");
-    char c = text_[pos_];
-    if (c == '{') return ParseObject(out, depth);
-    if (c == '[') return ParseArray(out, depth);
-    if (c == '"') {
-      out->type = Json::kString;
-      return ParseString(&out->str);
-    }
-    if (text_.compare(pos_, 4, "true") == 0) {
-      out->type = Json::kBool;
-      out->boolean = true;
-      pos_ += 4;
-      return Status::OK();
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      out->type = Json::kBool;
-      out->boolean = false;
-      pos_ += 5;
-      return Status::OK();
-    }
-    if (text_.compare(pos_, 4, "null") == 0) {
-      out->type = Json::kNull;
-      pos_ += 4;
-      return Status::OK();
-    }
-    if (c == '-' || (c >= '0' && c <= '9')) {
-      const char* start = text_.c_str() + pos_;
-      char* end = nullptr;
-      out->number = std::strtod(start, &end);
-      if (end == start) return Error("malformed number");
-      out->type = Json::kNumber;
-      pos_ += static_cast<size_t>(end - start);
-      return Status::OK();
-    }
-    return Error(std::string("unexpected character '") + c + "'");
-  }
-
-  Status ParseString(std::string* out) {
-    if (!Consume('"')) return Error("expected string");
-    out->clear();
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') return Status::OK();
-      if (c != '\\') {
-        out->push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) break;
-      char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out->push_back('"'); break;
-        case '\\': out->push_back('\\'); break;
-        case '/': out->push_back('/'); break;
-        case 'b': out->push_back('\b'); break;
-        case 'f': out->push_back('\f'); break;
-        case 'n': out->push_back('\n'); break;
-        case 'r': out->push_back('\r'); break;
-        case 't': out->push_back('\t'); break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) return Error("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code += static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code += static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code += static_cast<unsigned>(h - 'A' + 10);
-            else return Error("bad \\u escape");
-          }
-          // Bench names are ASCII; encode the BMP scalar as UTF-8 so
-          // nothing is silently dropped.
-          if (code < 0x80) {
-            out->push_back(static_cast<char>(code));
-          } else if (code < 0x800) {
-            out->push_back(static_cast<char>(0xC0 | (code >> 6)));
-            out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          } else {
-            out->push_back(static_cast<char>(0xE0 | (code >> 12)));
-            out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-            out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          }
-          break;
-        }
-        default:
-          return Error("unknown escape");
+// A "cases" array: anything with a string "name" is a case; missing or
+// non-positive "seconds" read as 0.
+void ReadCases(obs::JsonReader* in,
+               std::map<std::string, BenchCaseStat>* cases) {
+  cases->clear();
+  std::string key;
+  in->BeginArray();
+  while (in->NextElement()) {
+    if (!EnterObject(in)) continue;
+    BenchCaseStat stat;
+    stat.runs = 1;
+    bool named = false;
+    while (in->NextKey(&key)) {
+      if (key == "name") {
+        named = in->Peek() == '"' && in->ReadString(&stat.name);
+        if (!named) in->SkipValue();
+      } else if (key == "seconds") {
+        stat.seconds = std::max(0.0, NumberOrZero(in));
+      } else if (key == "counters") {
+        stat.runs = ReadRuns(in);
+      } else {
+        in->SkipValue();
       }
     }
-    return Error("unterminated string");
-  }
-
-  Status ParseObject(Json* out, int depth) {
-    Consume('{');
-    out->type = Json::kObject;
-    SkipSpace();
-    if (Consume('}')) return Status::OK();
-    while (true) {
-      std::string key;
-      AUTOEM_RETURN_IF_ERROR(ParseString(&key));
-      if (!Consume(':')) return Error("expected ':'");
-      Json value;
-      AUTOEM_RETURN_IF_ERROR(ParseValue(&value, depth + 1));
-      out->object[std::move(key)] = std::move(value);
-      if (Consume(',')) continue;
-      if (Consume('}')) return Status::OK();
-      return Error("expected ',' or '}'");
-    }
-  }
-
-  Status ParseArray(Json* out, int depth) {
-    Consume('[');
-    out->type = Json::kArray;
-    SkipSpace();
-    if (Consume(']')) return Status::OK();
-    while (true) {
-      Json value;
-      AUTOEM_RETURN_IF_ERROR(ParseValue(&value, depth + 1));
-      out->array.push_back(std::move(value));
-      if (Consume(',')) continue;
-      if (Consume(']')) return Status::OK();
-      return Error("expected ',' or ']'");
-    }
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
-
-std::string JsonToString(const Json& v) {
-  switch (v.type) {
-    case Json::kString: return v.str;
-    case Json::kNumber: {
-      char buf[40];
-      std::snprintf(buf, sizeof(buf), "%.17g", v.number);
-      return buf;
-    }
-    case Json::kBool: return v.boolean ? "true" : "false";
-    default: return "";
+    if (named && in->ok()) MergeCase(stat, cases);
   }
 }
 
@@ -226,50 +137,29 @@ bool AllDigits(const std::string& s) {
 }  // namespace
 
 Result<BenchFile> ParseBenchJson(const std::string& text) {
-  auto parsed = JsonParser(text).Parse();
-  if (!parsed.ok()) return parsed.status();
-  const Json& root = *parsed;
-  if (root.type != Json::kObject) {
-    return Status::InvalidArgument("bench file: root is not an object");
-  }
+  obs::JsonReader in(text);
   BenchFile file;
-  if (const Json* meta = root.Find("meta"); meta != nullptr) {
-    for (const auto& [key, value] : meta->object) {
-      file.meta[key] = JsonToString(value);
+  bool have_cases = false;
+  std::string key;
+  in.BeginObject();
+  while (in.NextKey(&key)) {
+    if (key == "meta") {
+      ReadMeta(&in, &file.meta);
+    } else if (key == "cases") {
+      have_cases = in.Peek() == '[';
+      if (have_cases) {
+        ReadCases(&in, &file.cases);
+      } else {
+        in.SkipValue();
+      }
+    } else {
+      in.SkipValue();
     }
   }
-  const Json* cases = root.Find("cases");
-  if (cases == nullptr || cases->type != Json::kArray) {
+  in.End();
+  if (!in.ok()) return in.status();
+  if (!have_cases) {
     return Status::InvalidArgument("bench file: missing \"cases\" array");
-  }
-  for (const Json& entry : cases->array) {
-    const Json* name = entry.Find("name");
-    if (name == nullptr || name->type != Json::kString) continue;
-    BenchCaseStat stat;
-    stat.name = name->str;
-    if (const Json* secs = entry.Find("seconds");
-        secs != nullptr && secs->type == Json::kNumber &&
-        std::isfinite(secs->number) && secs->number > 0) {
-      stat.seconds = secs->number;
-    }
-    stat.runs = 1;
-    if (const Json* counters = entry.Find("counters"); counters != nullptr) {
-      if (const Json* runs = counters->Find("bench_compare.runs");
-          runs != nullptr && runs->type == Json::kNumber && runs->number >= 1) {
-        stat.runs = static_cast<int>(runs->number);
-      }
-    }
-    // Duplicate names within one file (google-benchmark repetitions)
-    // min-merge the same way multiple files do.
-    auto [it, inserted] = file.cases.emplace(stat.name, stat);
-    if (!inserted) {
-      BenchCaseStat& existing = it->second;
-      if (stat.seconds > 0 &&
-          (existing.seconds == 0 || stat.seconds < existing.seconds)) {
-        existing.seconds = stat.seconds;
-      }
-      existing.runs += stat.runs;
-    }
   }
   return file;
 }
@@ -281,11 +171,9 @@ Result<BenchFile> LoadBenchFiles(const std::vector<std::string>& paths) {
   BenchFile merged;
   bool first = true;
   for (const std::string& path : paths) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) return Status::IOError("cannot open " + path);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    auto file = ParseBenchJson(buf.str());
+    std::string text;
+    AUTOEM_RETURN_IF_ERROR(io::ReadFileToString(path, &text));
+    auto file = ParseBenchJson(text);
     if (!file.ok()) {
       return Status::InvalidArgument(path + ": " +
                                      file.status().ToString());
@@ -294,17 +182,7 @@ Result<BenchFile> LoadBenchFiles(const std::vector<std::string>& paths) {
       merged.meta = file->meta;
       first = false;
     }
-    for (const auto& [name, stat] : file->cases) {
-      auto [it, inserted] = merged.cases.emplace(name, stat);
-      if (!inserted) {
-        BenchCaseStat& existing = it->second;
-        if (stat.seconds > 0 &&
-            (existing.seconds == 0 || stat.seconds < existing.seconds)) {
-          existing.seconds = stat.seconds;
-        }
-        existing.runs += stat.runs;
-      }
-    }
+    for (const auto& [name, stat] : file->cases) MergeCase(stat, &merged.cases);
   }
   return merged;
 }
