@@ -15,7 +15,8 @@
 //                    [--threshold 0.5] [--out matches.csv]
 //       Trains on the labeled pairs, blocks the candidate tables (q-gram on
 //       --block-on, default: first attribute), scores every candidate pair,
-//       and writes ltable_id,rtable_id,score,match rows.
+//       and writes ltable_id,rtable_id,score,match rows (the `predict`
+//       format: %.17g scores, 1/0 decisions).
 //
 //   autoem_cli predict --load-model model.aem --cand-a CA.csv --cand-b CB.csv
 //                      [--pairs P.csv | --block-on attr] [--out pred.csv]
@@ -265,16 +266,13 @@ int RunTrainEval(const Flags& flags) {
   return 0;
 }
 
-int RunPredict(const Flags& flags) {
-  if (!flags.Has("load-model")) Fail("predict requires --load-model");
-  auto matcher = io::LoadModel(flags.Get("load-model"));
-  if (!matcher.ok()) {
-    Fail(flags.Get("load-model") + ": " + matcher.status().ToString());
-  }
-  Parallelism parallelism;
-  parallelism.threads = std::atoi(flags.Get("threads", "1").c_str());
-  matcher->SetParallelism(parallelism);
-
+// Reads the candidate tables, pairs them (from `pairs_path` when given,
+// else by q-gram blocking on --block-on, default: first attribute), scores
+// every pair in chunks and writes the scores CSV to `out_path`. Shared by
+// `predict` and `match`.
+void ScoreCandidates(const EntityMatcher& matcher, const Flags& flags,
+                     const std::string& pairs_path, size_t chunk_size,
+                     const std::string& out_path) {
   PairSet candidates;
   candidates.left = MustReadCsv(flags.Get("cand-a"), "cand_a");
   candidates.right = MustReadCsv(flags.Get("cand-b"), "cand_b");
@@ -282,11 +280,11 @@ int RunPredict(const Flags& flags) {
     Fail("candidate tables must share a schema");
   }
 
-  if (flags.Has("pairs")) {
-    candidates.pairs = MustReadPairs(flags.Get("pairs"), candidates.left,
-                                     candidates.right);
+  if (!pairs_path.empty()) {
+    candidates.pairs =
+        MustReadPairs(pairs_path, candidates.left, candidates.right);
     std::printf("scoring %zu candidate pairs from %s\n",
-                candidates.pairs.size(), flags.Get("pairs").c_str());
+                candidates.pairs.size(), pairs_path.c_str());
   } else {
     std::string block_attr =
         flags.Get("block-on", candidates.left.schema().num_attributes() > 0
@@ -302,66 +300,37 @@ int RunPredict(const Flags& flags) {
                 candidates.right.num_rows(), candidates.pairs.size());
   }
 
-  size_t chunk_size =
-      static_cast<size_t>(std::atoll(flags.Get("chunk-size", "4096").c_str()));
-  auto scores = matcher->ScorePairsBatched(candidates, chunk_size);
+  auto scores = matcher.ScorePairsBatched(candidates, chunk_size);
   if (!scores.ok()) Fail(scores.status().ToString());
 
   double threshold = std::atof(flags.Get("threshold", "0.5").c_str());
-  std::string out_path = flags.Get("out", "predictions.csv");
   size_t n_matches = 0;
   WriteScoresCsv(candidates.pairs, *scores, threshold, out_path, &n_matches);
   std::printf("%zu/%zu candidates matched at threshold %.2f -> %s\n",
               n_matches, candidates.pairs.size(), threshold,
               out_path.c_str());
+}
+
+int RunPredict(const Flags& flags) {
+  if (!flags.Has("load-model")) Fail("predict requires --load-model");
+  auto matcher = io::LoadModel(flags.Get("load-model"));
+  if (!matcher.ok()) {
+    Fail(flags.Get("load-model") + ": " + matcher.status().ToString());
+  }
+  Parallelism parallelism;
+  parallelism.threads = std::atoi(flags.Get("threads", "1").c_str());
+  matcher->SetParallelism(parallelism);
+  ScoreCandidates(*matcher, flags, flags.Get("pairs"),
+                  static_cast<size_t>(
+                      std::atoll(flags.Get("chunk-size", "4096").c_str())),
+                  flags.Get("out", "predictions.csv"));
   return 0;
 }
 
 int RunMatch(const Flags& flags) {
   EntityMatcher matcher = TrainMatcher(flags, nullptr);
-
-  PairSet candidates;
-  candidates.left = MustReadCsv(flags.Get("cand-a"), "cand_a");
-  candidates.right = MustReadCsv(flags.Get("cand-b"), "cand_b");
-  if (!(candidates.left.schema() == candidates.right.schema())) {
-    Fail("candidate tables must share a schema");
-  }
-
-  std::string block_attr =
-      flags.Get("block-on", candidates.left.schema().num_attributes() > 0
-                                ? candidates.left.schema().name(0)
-                                : "");
-  QGramBlocker blocker(block_attr, 3);
-  auto blocked = blocker.Block(candidates.left, candidates.right);
-  if (!blocked.ok()) Fail(blocked.status().ToString());
-  candidates.pairs = std::move(*blocked);
-  std::printf("blocking on '%s': %zu x %zu records -> %zu candidate pairs\n",
-              block_attr.c_str(), candidates.left.num_rows(),
-              candidates.right.num_rows(), candidates.pairs.size());
-
-  auto scores = matcher.ScorePairs(candidates);
-  if (!scores.ok()) Fail(scores.status().ToString());
-  double threshold = std::atof(flags.Get("threshold", "0.5").c_str());
-
-  Table out("matches",
-            Schema({"ltable_id", "rtable_id", "score", "match"}));
-  size_t n_matches = 0;
-  for (size_t i = 0; i < candidates.pairs.size(); ++i) {
-    const RecordPair& pair = candidates.pairs[i];
-    bool is_match = (*scores)[i] >= threshold;
-    n_matches += is_match;
-    Status st = out.Append(
-        Record({Value(static_cast<double>(pair.left_id)),
-                Value(static_cast<double>(pair.right_id)),
-                Value((*scores)[i]), Value(is_match)}));
-    if (!st.ok()) Fail(st.ToString());
-  }
-  std::string out_path = flags.Get("out", "matches.csv");
-  Status st = WriteCsv(out, out_path);
-  if (!st.ok()) Fail(st.ToString());
-  std::printf("%zu/%zu candidates matched at threshold %.2f -> %s\n",
-              n_matches, candidates.pairs.size(), threshold,
-              out_path.c_str());
+  ScoreCandidates(matcher, flags, /*pairs_path=*/"", /*chunk_size=*/4096,
+                  flags.Get("out", "matches.csv"));
   return 0;
 }
 

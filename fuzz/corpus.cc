@@ -251,7 +251,8 @@ std::vector<Seed> CheckpointSeeds() {
   seeds.push_back(
       {"search_v2", SerializeSearchCheckpoint(MakeRichSearchCheckpoint())});
 
-  // Hand-assembled v1 container (no resource fields) — the back-compat path.
+  // Hand-assembled v1 container (no resource fields): a rejection seed, since
+  // only the current version is read.
   io::Writer payload;
   payload.U64(7);          // seed
   payload.Str("13 17 19");  // rng_state

@@ -37,8 +37,9 @@ std::vector<Seed> ConfigSeeds();
 /// the serialize_roundtrip harness.
 std::vector<Seed> SerializeSeeds();
 
-/// Valid AEMK containers (search v2, hand-assembled search v1, active kind)
-/// plus near-valid corruptions, built through the real save codecs.
+/// Valid AEMK containers (search, active kind) built through the real save
+/// codecs, plus near-valid rejects (a hand-assembled v1 container, a
+/// truncation).
 std::vector<Seed> CheckpointSeeds();
 
 /// Structurally valid AEMM envelopes whose sections carry synthetic

@@ -1,10 +1,9 @@
 #include "em/blocking.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "common/string_util.h"
+#include "text/interner.h"
 #include "text/tokenizer.h"
 
 namespace autoem {
@@ -23,6 +22,86 @@ Result<int> FindAttribute(const Table& t, const std::string& attribute) {
   return idx;
 }
 
+bool RightThenLeft(const RecordPair& a, const RecordPair& b) {
+  if (a.right_id != b.right_id) return a.right_id < b.right_id;
+  return a.left_id < b.left_id;
+}
+
+// A cell's join key as sorted, duplicate-free token IDs: the distinct
+// 3-grams of the normalized value, or (`whole_key`) the normalized value
+// itself as one token. An empty key has no IDs, so it joins nothing.
+void KeyIds(const Value& cell, bool whole_key, TokenInterner* interner,
+            QGramScratch* scratch, std::vector<uint32_t>* out) {
+  out->clear();
+  const std::string key = NormalizeKey(cell);
+  if (key.empty()) return;
+  if (whole_key) {
+    out->push_back(interner->IdOf(key));
+  } else {
+    InternSortedUnique(interner, QGramTokenizeInto(key, 3, scratch), out);
+  }
+}
+
+// The token-overlap join both key blockers run: every (left, right) row
+// pair whose key ID sets share at least max(min_shared, 1) IDs, in
+// (right, left) order. Left rows are indexed as posting lists (ID ->
+// ascending left rows); each right row counts shared IDs in a dense
+// per-left-row counter, remembering which counters it touched.
+Result<std::vector<RecordPair>> OverlapJoin(const Table& left,
+                                            const Table& right,
+                                            const std::string& attribute,
+                                            bool whole_key,
+                                            size_t min_shared) {
+  auto left_idx = FindAttribute(left, attribute);
+  if (!left_idx.ok()) return left_idx.status();
+  auto right_idx = FindAttribute(right, attribute);
+  if (!right_idx.ok()) return right_idx.status();
+
+  TokenInterner interner;
+  QGramScratch scratch;
+  std::vector<uint32_t> ids;
+  // Interner IDs are near-dense (a per-shard counter times the shard count
+  // plus the shard), so they index the posting lists directly.
+  std::vector<std::vector<size_t>> postings;
+  for (size_t l = 0; l < left.num_rows(); ++l) {
+    KeyIds(left.cell(l, *left_idx), whole_key, &interner, &scratch, &ids);
+    for (uint32_t id : ids) {
+      if (id >= postings.size()) postings.resize(size_t{id} + 1);
+      postings[id].push_back(l);
+    }
+  }
+
+  const size_t need = std::max<size_t>(min_shared, 1);
+  std::vector<uint32_t> shared(left.num_rows(), 0);
+  std::vector<size_t> touched;
+  std::vector<RecordPair> out;
+  for (size_t r = 0; r < right.num_rows(); ++r) {
+    KeyIds(right.cell(r, *right_idx), whole_key, &interner, &scratch, &ids);
+    touched.clear();
+    for (uint32_t id : ids) {
+      if (id >= postings.size()) continue;
+      for (size_t l : postings[id]) {
+        if (shared[l]++ == 0) touched.push_back(l);
+      }
+    }
+    // Emit in ascending left order: sort a short touched list, else scan
+    // every counter (cheaper than sorting once a row touches many rows).
+    if (touched.size() * 8 < shared.size()) {
+      std::sort(touched.begin(), touched.end());
+      for (size_t l : touched) {
+        if (shared[l] >= need) out.push_back({l, r, -1});
+        shared[l] = 0;
+      }
+    } else {
+      for (size_t l = 0; l < shared.size(); ++l) {
+        if (shared[l] >= need) out.push_back({l, r, -1});
+        shared[l] = 0;
+      }
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 AttributeEquivalenceBlocker::AttributeEquivalenceBlocker(std::string attribute)
@@ -30,24 +109,8 @@ AttributeEquivalenceBlocker::AttributeEquivalenceBlocker(std::string attribute)
 
 Result<std::vector<RecordPair>> AttributeEquivalenceBlocker::Block(
     const Table& left, const Table& right) const {
-  auto left_idx = FindAttribute(left, attribute_);
-  if (!left_idx.ok()) return left_idx.status();
-  auto right_idx = FindAttribute(right, attribute_);
-  if (!right_idx.ok()) return right_idx.status();
-
-  std::unordered_map<std::string, std::vector<size_t>> buckets;
-  for (size_t r = 0; r < left.num_rows(); ++r) {
-    std::string key = NormalizeKey(left.cell(r, *left_idx));
-    if (!key.empty()) buckets[key].push_back(r);
-  }
-  std::vector<RecordPair> out;
-  for (size_t r = 0; r < right.num_rows(); ++r) {
-    std::string key = NormalizeKey(right.cell(r, *right_idx));
-    auto it = buckets.find(key);
-    if (it == buckets.end()) continue;
-    for (size_t l : it->second) out.push_back({l, r, -1});
-  }
-  return out;
+  return OverlapJoin(left, right, attribute_, /*whole_key=*/true,
+                     /*min_shared=*/1);
 }
 
 QGramBlocker::QGramBlocker(std::string attribute, size_t min_shared)
@@ -55,37 +118,8 @@ QGramBlocker::QGramBlocker(std::string attribute, size_t min_shared)
 
 Result<std::vector<RecordPair>> QGramBlocker::Block(
     const Table& left, const Table& right) const {
-  auto left_idx = FindAttribute(left, attribute_);
-  if (!left_idx.ok()) return left_idx.status();
-  auto right_idx = FindAttribute(right, attribute_);
-  if (!right_idx.ok()) return right_idx.status();
-
-  // Inverted index: 3-gram -> left row ids.
-  std::unordered_map<std::string, std::vector<size_t>> index;
-  for (size_t r = 0; r < left.num_rows(); ++r) {
-    std::string key = NormalizeKey(left.cell(r, *left_idx));
-    std::unordered_set<std::string> grams;
-    for (auto& g : QGramTokenize(key, 3)) grams.insert(std::move(g));
-    for (const auto& g : grams) index[g].push_back(r);
-  }
-
-  std::vector<RecordPair> out;
-  std::unordered_map<size_t, size_t> shared;  // left row -> #shared grams
-  for (size_t r = 0; r < right.num_rows(); ++r) {
-    std::string key = NormalizeKey(right.cell(r, *right_idx));
-    std::unordered_set<std::string> grams;
-    for (auto& g : QGramTokenize(key, 3)) grams.insert(std::move(g));
-    shared.clear();
-    for (const auto& g : grams) {
-      auto it = index.find(g);
-      if (it == index.end()) continue;
-      for (size_t l : it->second) ++shared[l];
-    }
-    for (const auto& [l, count] : shared) {
-      if (count >= min_shared_) out.push_back({l, r, -1});
-    }
-  }
-  return out;
+  return OverlapJoin(left, right, attribute_, /*whole_key=*/false,
+                     min_shared_);
 }
 
 SortedNeighborhoodBlocker::SortedNeighborhoodBlocker(std::string attribute,
@@ -119,8 +153,8 @@ Result<std::vector<RecordPair>> SortedNeighborhoodBlocker::Block(
   std::sort(entries.begin(), entries.end(),
             [](const Entry& a, const Entry& b) { return a.key < b.key; });
 
-  // Slide the window; emit cross-side pairs only, deduplicated.
-  std::unordered_set<uint64_t> seen;
+  // Slide the window and emit cross-side pairs only. Each row has one
+  // entry, so no pair is emitted twice.
   std::vector<RecordPair> out;
   for (size_t i = 0; i < entries.size(); ++i) {
     size_t end = std::min(entries.size(), i + window_);
@@ -130,30 +164,24 @@ Result<std::vector<RecordPair>> SortedNeighborhoodBlocker::Block(
       if (a.from_left == b.from_left) continue;
       size_t l = a.from_left ? a.row : b.row;
       size_t r = a.from_left ? b.row : a.row;
-      uint64_t key = (static_cast<uint64_t>(l) << 32) |
-                     static_cast<uint64_t>(r);
-      if (seen.insert(key).second) out.push_back({l, r, -1});
+      out.push_back({l, r, -1});
     }
   }
+  std::sort(out.begin(), out.end(), RightThenLeft);
   return out;
 }
 
 double BlockingRecall(const std::vector<RecordPair>& candidates,
                       const std::vector<RecordPair>& truth) {
-  std::unordered_set<uint64_t> candidate_keys;
-  candidate_keys.reserve(candidates.size());
-  for (const auto& p : candidates) {
-    candidate_keys.insert((static_cast<uint64_t>(p.left_id) << 32) |
-                          static_cast<uint64_t>(p.right_id));
-  }
+  std::vector<RecordPair> sorted = candidates;
+  std::sort(sorted.begin(), sorted.end(), RightThenLeft);
   size_t n_true = 0;
   size_t n_found = 0;
   for (const auto& p : truth) {
     if (p.label != 1) continue;
     ++n_true;
-    uint64_t key = (static_cast<uint64_t>(p.left_id) << 32) |
-                   static_cast<uint64_t>(p.right_id);
-    if (candidate_keys.count(key)) ++n_found;
+    n_found += std::binary_search(sorted.begin(), sorted.end(), p,
+                                  RightThenLeft);
   }
   return n_true == 0 ? 1.0
                      : static_cast<double>(n_found) /

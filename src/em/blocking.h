@@ -16,7 +16,9 @@ class Blocker {
  public:
   virtual ~Blocker() = default;
 
-  /// Emits candidate (left row, right row) pairs. Labels are unknown (-1).
+  /// Emits candidate (left row, right row) pairs, sorted by
+  /// (right_id, left_id) with no duplicates, so the output is a pure
+  /// function of the two tables. Labels are unknown (-1).
   virtual Result<std::vector<RecordPair>> Block(const Table& left,
                                                 const Table& right) const = 0;
 
@@ -25,7 +27,7 @@ class Blocker {
 
 /// Pairs records whose blocking attribute values are equal after
 /// lower-casing and whitespace normalization (e.g. block restaurants by
-/// city).
+/// city). Null and empty keys never pair.
 class AttributeEquivalenceBlocker : public Blocker {
  public:
   explicit AttributeEquivalenceBlocker(std::string attribute);
@@ -40,7 +42,7 @@ class AttributeEquivalenceBlocker : public Blocker {
 
 /// Pairs records sharing at least `min_shared` character 3-grams on the
 /// blocking attribute — the standard q-gram overlap blocker, robust to
-/// typos where equivalence blocking is not.
+/// typos where equivalence blocking is not. A `min_shared` of 0 acts as 1.
 class QGramBlocker : public Blocker {
  public:
   QGramBlocker(std::string attribute, size_t min_shared = 2);

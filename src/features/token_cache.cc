@@ -1,7 +1,5 @@
 #include "features/token_cache.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 #include "obs/obs.h"
 
@@ -15,18 +13,6 @@ struct BuildScratch {
   QGramScratch qgrams;
   std::vector<std::string_view> words;
 };
-
-void InternSortedUnique(TokenInterner* interner,
-                        const std::vector<std::string_view>& tokens,
-                        std::vector<uint32_t>* out) {
-  out->clear();
-  out->reserve(tokens.size());
-  for (const std::string_view tok : tokens) {
-    out->push_back(interner->IdOf(tok));
-  }
-  std::sort(out->begin(), out->end());
-  out->erase(std::unique(out->begin(), out->end()), out->end());
-}
 
 }  // namespace
 

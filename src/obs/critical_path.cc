@@ -109,8 +109,46 @@ class CriticalPathWalker {
     SortDeps(&root_deps_);
   }
 
+  // Partitions [lo, hi] of the virtual root into critical segments,
+  // walking backward through each span's slice: the last-finishing
+  // dependency owns the time up to its end; the gap above it is the span's
+  // own (self) time. The descent into a dependency pushes a frame instead of
+  // recursing, so span nesting depth is bounded by memory only.
   std::vector<CriticalSegment> Walk(uint64_t lo, uint64_t hi) {
-    Attribute(kVirtualRoot, lo, hi);
+    std::vector<Frame> stack;
+    stack.push_back(Frame{kVirtualRoot, lo, lo, hi, std::move(root_deps_)});
+    while (!stack.empty()) {
+      Frame& f = stack.back();
+      if (f.next == f.deps.size() || f.t <= f.lo) {
+        EmitSelf(f.idx, f.lo, f.t);
+        EmitQueue(f.idx, f.enqueue, f.lo);
+        stack.pop_back();
+        continue;
+      }
+      const Dep& dep = f.deps[f.next++];
+      uint64_t dep_start = std::max(dep.start, f.lo);
+      uint64_t dep_end = std::min(dep.end, f.t);
+      if (dep_end <= dep_start) continue;
+      // A malformed trace (flow into an ancestor) could loop; each span is
+      // attributed through at most once.
+      if (visited_[dep.span]) continue;
+      visited_[dep.span] = true;
+      // The stretch between this dependency's end and the current boundary
+      // had no later-finishing dependency: the span itself was running.
+      EmitSelf(f.idx, dep_end, f.t);
+      f.t = dep_start;
+      uint64_t exec_start =
+          dep.is_flow ? std::max(spans_[dep.span].start_us, dep_start)
+                      : dep_start;
+      if (dep_end <= exec_start) {
+        // Window closed before the task started executing: pure queue wait.
+        EmitQueue(dep.span, dep_start, dep_end);
+        continue;
+      }
+      const int span = dep.span;  // `f` and `dep` dangle once the stack grows
+      stack.push_back(
+          Frame{span, dep_start, exec_start, dep_end, DepsOf(span)});
+    }
     std::reverse(segments_.begin(), segments_.end());
     Coalesce();
     return std::move(segments_);
@@ -125,7 +163,6 @@ class CriticalPathWalker {
   }
 
   std::vector<Dep> DepsOf(int idx) {
-    if (idx == kVirtualRoot) return root_deps_;
     const SpanNode& node = spans_[idx];
     std::vector<Dep> deps;
     deps.reserve(node.children.size() + node.flow_targets.size());
@@ -167,41 +204,18 @@ class CriticalPathWalker {
     segments_.push_back(seg);
   }
 
-  // Partitions [lo, hi] — a slice of `idx`'s lifetime — into critical
-  // segments, walking backward: the last-finishing dependency owns the time
-  // up to its end; the gap above it is the span's own (self) time.
-  void Attribute(int idx, uint64_t lo, uint64_t hi) {
-    uint64_t t = hi;
-    if (t <= lo) return;
-    for (const Dep& dep : DepsOf(idx)) {
-      if (t <= lo) break;
-      uint64_t dep_start = std::max(dep.start, lo);
-      uint64_t dep_end = std::min(dep.end, t);
-      if (dep_end <= dep_start) continue;
-      // A malformed trace (flow into an ancestor) could loop; each span is
-      // attributed through at most once.
-      if (visited_[dep.span]) continue;
-      visited_[dep.span] = true;
-      // The stretch between this dependency's end and the current boundary
-      // had no later-finishing dependency: the span itself was running.
-      EmitSelf(idx, dep_end, t);
-      if (dep.is_flow) {
-        uint64_t exec_start =
-            std::max(spans_[dep.span].start_us, dep_start);
-        if (dep_end > exec_start) {
-          Attribute(dep.span, exec_start, dep_end);
-          EmitQueue(dep.span, dep_start, exec_start);
-        } else {
-          // Window closed before the task started executing: pure queue wait.
-          EmitQueue(dep.span, dep_start, dep_end);
-        }
-      } else {
-        Attribute(dep.span, dep_start, dep_end);
-      }
-      t = dep_start;
-    }
-    EmitSelf(idx, lo, t);
-  }
+  // One span being attributed: the slice [lo, t] of its lifetime that is
+  // still unowned, its dependencies latest-ending first, and the next one to
+  // look at. A flow target starts at `enqueue` < lo; [enqueue, lo] is its
+  // queue wait, emitted after its own segments.
+  struct Frame {
+    int idx;
+    uint64_t enqueue;
+    uint64_t lo;
+    uint64_t t;
+    std::vector<Dep> deps;
+    size_t next = 0;
+  };
 
   void Coalesce() {
     std::vector<CriticalSegment> merged;

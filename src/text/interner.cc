@@ -1,5 +1,7 @@
 #include "text/interner.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace autoem {
@@ -28,6 +30,18 @@ size_t TokenInterner::size() const {
     total += shard.map.size();
   }
   return total;
+}
+
+void InternSortedUnique(TokenInterner* interner,
+                        const std::vector<std::string_view>& tokens,
+                        std::vector<uint32_t>* out) {
+  out->clear();
+  out->reserve(tokens.size());
+  for (const std::string_view tok : tokens) {
+    out->push_back(interner->IdOf(tok));
+  }
+  std::sort(out->begin(), out->end());
+  out->erase(std::unique(out->begin(), out->end()), out->end());
 }
 
 }  // namespace autoem

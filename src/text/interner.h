@@ -7,6 +7,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 namespace autoem {
 
@@ -53,6 +54,13 @@ class TokenInterner {
 
   Shard shards_[kShards];
 };
+
+/// Interns every token and writes the sorted, duplicate-free ID set to `out`
+/// (cleared first): the form the token-set kernels and the blocking join
+/// consume.
+void InternSortedUnique(TokenInterner* interner,
+                        const std::vector<std::string_view>& tokens,
+                        std::vector<uint32_t>* out);
 
 }  // namespace autoem
 

@@ -176,9 +176,10 @@ TEST(SearchCheckpointTest, ResourcesRoundTrip) {
   std::remove(path.c_str());
 }
 
-TEST(SearchCheckpointTest, ReadsVersion1Checkpoint) {
-  // Hand-assembled v1 container (the pre-resources record layout): a v2
-  // build must load it with resources defaulting to "not sampled".
+TEST(SearchCheckpointTest, RejectsPreVersion4Checkpoints) {
+  // Checkpoints are short-lived crash-resume files, so only the current
+  // format is read. A hand-assembled v1 container (the pre-resources record
+  // layout, CRC intact) is refused, and so are v2/v3 headers.
   io::Writer payload;
   payload.U64(7);           // seed
   payload.Str("13 17 19");  // rng_state
@@ -207,18 +208,24 @@ TEST(SearchCheckpointTest, ReadsVersion1Checkpoint) {
   file.Raw(payload.data());
   std::string path = TempPath("autoem_ckpt_v1.aemk");
   MustWriteRaw(path, file.data());
-
   auto loaded = LoadSearchCheckpoint(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->seed, 7u);
-  EXPECT_EQ(loaded->rng_state, "13 17 19");
-  ASSERT_EQ(loaded->history.size(), 1u);
-  EXPECT_EQ(loaded->history[0].config, config);
-  EXPECT_DOUBLE_EQ(loaded->history[0].valid_f1, 0.5);
-  EXPECT_FALSE(loaded->history[0].resources.sampled);
-  EXPECT_DOUBLE_EQ(loaded->history[0].resources.cpu_seconds, 0.0);
-  EXPECT_EQ(loaded->history[0].resources.allocs, 0u);
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("version 1 "), std::string::npos)
+      << loaded.status().ToString();
   std::remove(path.c_str());
+
+  const std::string current = SerializeSearchCheckpoint(MakeCheckpoint());
+  for (uint8_t version : {2, 3}) {
+    std::string old = current;
+    old[4] = static_cast<char>(version);  // u32 version low byte
+    auto parsed = DeserializeSearchCheckpoint(old);
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(parsed.status().message().find(
+                  "version " + std::to_string(version) + " "),
+              std::string::npos)
+        << parsed.status().ToString();
+  }
+  EXPECT_TRUE(DeserializeSearchCheckpoint(current).ok());
 }
 
 TEST(SearchCheckpointTest, SaveIsDeterministic) {
@@ -375,11 +382,12 @@ TEST(CheckpointCorruptionTest, CrcFieldDamageRejected) {
 
 TEST(CheckpointCorruptionTest, CheckpointSeedsReplayCleanly) {
   // Every checked-in AEMK seed must produce a clean Status from both
-  // deserializers (valid seeds parse under exactly one kind).
+  // deserializers (valid seeds parse under exactly one kind; search_v1 is
+  // a pre-v4 container and is rejected by both).
   for (const auto& seed : fuzz::CheckpointSeeds()) {
     auto search = DeserializeSearchCheckpoint(seed.bytes);
     auto active = DeserializeActiveCheckpoint(seed.bytes);
-    if (seed.name == "search_v2" || seed.name == "search_v1") {
+    if (seed.name == "search_v2") {
       EXPECT_TRUE(search.ok()) << seed.name << ": "
                                << search.status().ToString();
       EXPECT_FALSE(active.ok()) << seed.name;
@@ -391,6 +399,24 @@ TEST(CheckpointCorruptionTest, CheckpointSeedsReplayCleanly) {
       EXPECT_FALSE(search.ok()) << seed.name;
       EXPECT_FALSE(active.ok()) << seed.name;
     }
+    if (seed.name == "search_v1") {
+      EXPECT_NE(search.status().message().find("version 1 "),
+                std::string::npos)
+          << search.status().ToString();
+    }
+  }
+  // The AEMK v3 containers kept in the corpus as rejection seeds.
+  for (const char* name : {"active_v2_aemk_v3", "search_v2_aemk_v3",
+                           "search_truncated_aemk_v3"}) {
+    const std::string bytes =
+        MustRead(std::string(AUTOEM_FUZZ_CORPUS_DIR) + "/checkpoint/" + name);
+    ASSERT_FALSE(bytes.empty()) << name;
+    EXPECT_EQ(DeserializeSearchCheckpoint(bytes).status().code(),
+              StatusCode::kInvalidArgument)
+        << name;
+    EXPECT_EQ(DeserializeActiveCheckpoint(bytes).status().code(),
+              StatusCode::kInvalidArgument)
+        << name;
   }
 }
 

@@ -217,6 +217,29 @@ TEST(CriticalPathTest, TopLevelGapBecomesUntraced) {
   EXPECT_EQ(untraced, 20u);
 }
 
+// 300,000 spans on one tid, each inside the previous one: span i covers
+// [i, 2N - i]. The critical-path walk must not recurse per nesting level.
+TEST(CriticalPathTest, DeeplyNestedTraceAnalyzes) {
+  constexpr uint64_t kDepth = 300000;
+  std::string json = "{\"traceEvents\":[";
+  for (uint64_t i = 0; i < kDepth; ++i) {
+    if (i > 0) json += ',';
+    json += "{\"name\":\"s\",\"ph\":\"X\",\"tid\":1,\"ts\":" +
+            std::to_string(i) + ",\"dur\":" + std::to_string(2 * (kDepth - i)) +
+            "}";
+  }
+  json += "]}";
+  auto analysis = obs::AnalyzeTraceJson(json);
+  ASSERT_TRUE(analysis.ok()) << analysis.status().ToString();
+  EXPECT_EQ(analysis->span_count, kDepth);
+  EXPECT_EQ(analysis->wall_us, 2 * kDepth);
+  ExpectBlameReconciles(*analysis);
+  ASSERT_EQ(analysis->blame.size(), 1u);
+  EXPECT_EQ(analysis->blame[0].self_us, 2 * kDepth);
+  EXPECT_EQ(PathTotal(*analysis), analysis->wall_us);
+  EXPECT_EQ(analysis->critical_us, analysis->wall_us);
+}
+
 TEST(CriticalPathTest, RejectsMalformedAndEmptyTraces) {
   EXPECT_FALSE(obs::AnalyzeTrace({}).ok());
   EXPECT_FALSE(obs::AnalyzeTraceJson("").ok());

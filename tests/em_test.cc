@@ -1,9 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
+#include <set>
+
+#include "common/rng.h"
+#include "common/string_util.h"
 #include "datagen/benchmark_gen.h"
 #include "em/blocking.h"
 #include "em/matcher.h"
 #include "em/pairs_io.h"
+#include "text/tokenizer.h"
 
 namespace autoem {
 namespace {
@@ -82,6 +89,184 @@ TEST(BlockingTest, RecallComputation) {
   std::vector<RecordPair> candidates = {{0, 0, -1}, {5, 5, -1}};
   EXPECT_DOUBLE_EQ(BlockingRecall(candidates, truth), 0.5);
   EXPECT_DOUBLE_EQ(BlockingRecall({}, {{0, 0, 0}}), 1.0);  // no true matches
+}
+
+// ---- blocking differential tests ---------------------------------------------
+//
+// Each blocker against a brute-force oracle over every (left, right) pair.
+// Keys draw words through TPC-C's NURand, so a few words (and their grams)
+// are very popular and their posting lists long; null, empty and
+// whitespace-only keys, mixed case, and keys repeating a gram are mixed in.
+
+std::string BlockKey(const Value& v) { return ToLower(Trim(v.ToString())); }
+
+std::set<std::string> DistinctGrams(const Value& v) {
+  std::vector<std::string> grams = QGramTokenize(BlockKey(v), 3);
+  return {grams.begin(), grams.end()};
+}
+
+// TPC-C 2.1.6 non-uniform random number in [x, y].
+int NURand(Rng* rng, int a, int x, int y, int c) {
+  return (((rng->UniformInt(0, a) | rng->UniformInt(x, y)) + c) %
+          (y - x + 1)) +
+         x;
+}
+
+Table SkewedKeyTable(const std::string& name, size_t rows, Rng* rng) {
+  static const char* kWords[] = {
+      "cafe",  "deli",   "grill",  "bistro", "pizza", "sushi",  "taco",
+      "diner", "bar",    "house",  "garden", "golden", "dragon", "palace",
+      "blue",  "red",    "star",   "moon",   "sun",   "king",   "queen",
+      "thai",  "indian", "french", "aaaa",   "abab",  "cafes",  "deli's"};
+  constexpr int kNumWords = sizeof(kWords) / sizeof(kWords[0]);
+  static const char* kOdd[] = {"", "   ", " \t ", "aaaaaaa", "Cafe CAFE cafe",
+                               "ab", "x", "  Deli  "};
+  Table t(name, Schema({"k"}));
+  for (size_t r = 0; r < rows; ++r) {
+    const int pick = rng->UniformInt(0, 19);
+    Value cell;
+    if (pick == 0) {
+      cell = Value::Null();
+    } else if (pick == 1) {
+      cell = Value(kOdd[rng->UniformIndex(sizeof(kOdd) / sizeof(kOdd[0]))]);
+    } else {
+      std::string key;
+      const int words = rng->UniformInt(1, 4);
+      for (int w = 0; w < words; ++w) {
+        if (w > 0) key += ' ';
+        key += kWords[NURand(rng, 7, 0, kNumWords - 1, 5)];
+      }
+      if (pick == 2) {
+        for (char& c : key) c = static_cast<char>(std::toupper(c));
+        key = "  " + key + " ";
+      }
+      cell = Value(key);
+    }
+    EXPECT_TRUE(t.Append(Record({cell})).ok());
+  }
+  return t;
+}
+
+void ExpectSortedUnique(const std::vector<RecordPair>& pairs) {
+  for (size_t i = 1; i < pairs.size(); ++i) {
+    const RecordPair& a = pairs[i - 1];
+    const RecordPair& b = pairs[i];
+    EXPECT_TRUE(a.right_id < b.right_id ||
+                (a.right_id == b.right_id && a.left_id < b.left_id))
+        << "pair " << i << " out of (right, left) order or duplicated";
+  }
+}
+
+using IdPairs = std::vector<std::pair<size_t, size_t>>;  // (left, right)
+
+IdPairs Ids(const std::vector<RecordPair>& pairs) {
+  IdPairs out;
+  for (const RecordPair& p : pairs) {
+    EXPECT_EQ(p.label, -1);
+    out.emplace_back(p.left_id, p.right_id);
+  }
+  return out;
+}
+
+void ExpectMatchesOracle(const Blocker& blocker, const Table& left,
+                         const Table& right, const IdPairs& oracle) {
+  auto first = blocker.Block(left, right);
+  auto second = blocker.Block(left, right);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(second.ok());
+  ExpectSortedUnique(*first);
+  EXPECT_EQ(Ids(*first), oracle) << blocker.name();
+  EXPECT_EQ(Ids(*second), Ids(*first)) << blocker.name();
+}
+
+TEST(BlockingDifferentialTest, KeyBlockersMatchBruteForce) {
+  for (uint64_t seed : {1, 2, 3, 4}) {
+    Rng rng(seed);
+    Table left = SkewedKeyTable("A", 60 + 10 * seed, &rng);
+    Table right = SkewedKeyTable("B", 50 + 10 * seed, &rng);
+    std::vector<std::set<std::string>> left_grams, right_grams;
+    for (size_t l = 0; l < left.num_rows(); ++l) {
+      left_grams.push_back(DistinctGrams(left.cell(l, 0)));
+    }
+    for (size_t r = 0; r < right.num_rows(); ++r) {
+      right_grams.push_back(DistinctGrams(right.cell(r, 0)));
+    }
+
+    for (size_t min_shared = 0; min_shared <= 4; ++min_shared) {
+      // A pair needs at least one shared gram even at min_shared 0.
+      const size_t need = std::max<size_t>(min_shared, 1);
+      IdPairs oracle;
+      for (size_t r = 0; r < right.num_rows(); ++r) {
+        for (size_t l = 0; l < left.num_rows(); ++l) {
+          size_t shared = 0;
+          for (const std::string& g : right_grams[r]) {
+            shared += left_grams[l].count(g);
+          }
+          if (shared >= need) oracle.emplace_back(l, r);
+        }
+      }
+      SCOPED_TRACE("seed " + std::to_string(seed) + " min_shared " +
+                   std::to_string(min_shared));
+      ExpectMatchesOracle(QGramBlocker("k", min_shared), left, right,
+                          oracle);
+    }
+
+    IdPairs oracle;
+    for (size_t r = 0; r < right.num_rows(); ++r) {
+      for (size_t l = 0; l < left.num_rows(); ++l) {
+        const std::string key = BlockKey(right.cell(r, 0));
+        if (!key.empty() && key == BlockKey(left.cell(l, 0))) {
+          oracle.emplace_back(l, r);
+        }
+      }
+    }
+    SCOPED_TRACE("seed " + std::to_string(seed) + " equivalence");
+    EXPECT_FALSE(oracle.empty());
+    ExpectMatchesOracle(AttributeEquivalenceBlocker("k"), left, right,
+                        oracle);
+  }
+}
+
+TEST(BlockingDifferentialTest, SortedNeighborhoodIsTheSortedWindowPairSet) {
+  Rng rng(11);
+  Table left = SkewedKeyTable("A", 90, &rng);
+  Table right = SkewedKeyTable("B", 70, &rng);
+  for (size_t window : {1, 2, 5, 12}) {
+    // The window-pair set: non-empty keys of both sides sorted by key (the
+    // same std::sort over the same entry order as the blocker), and every
+    // cross-side pair less than `window` positions apart.
+    struct Entry {
+      std::string key;
+      bool from_left;
+      size_t row;
+    };
+    std::vector<Entry> entries;
+    for (size_t l = 0; l < left.num_rows(); ++l) {
+      std::string key = BlockKey(left.cell(l, 0));
+      if (!key.empty()) entries.push_back({key, true, l});
+    }
+    for (size_t r = 0; r < right.num_rows(); ++r) {
+      std::string key = BlockKey(right.cell(r, 0));
+      if (!key.empty()) entries.push_back({key, false, r});
+    }
+    std::sort(entries.begin(), entries.end(),
+              [](const Entry& a, const Entry& b) { return a.key < b.key; });
+    std::set<std::pair<size_t, size_t>> by_right;  // (right, left)
+    for (size_t i = 0; i < entries.size(); ++i) {
+      for (size_t j = i + 1; j < std::min(entries.size(), i + window); ++j) {
+        const Entry& a = entries[i];
+        const Entry& b = entries[j];
+        if (a.from_left == b.from_left) continue;
+        by_right.insert(a.from_left ? std::make_pair(b.row, a.row)
+                                    : std::make_pair(a.row, b.row));
+      }
+    }
+    IdPairs oracle;
+    for (const auto& [r, l] : by_right) oracle.emplace_back(l, r);
+    SCOPED_TRACE("window " + std::to_string(window));
+    ExpectMatchesOracle(SortedNeighborhoodBlocker("k", window), left, right,
+                        oracle);
+  }
 }
 
 // ---- EntityMatcher end-to-end -----------------------------------------------------
