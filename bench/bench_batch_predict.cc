@@ -98,9 +98,16 @@ void BM_ScorePairsBatchedSmallChunks(benchmark::State& state) {
   RunScoring(state, /*chunk_size=*/256);
 }
 
-BENCHMARK(BM_ScorePairsUnchunked)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-BENCHMARK(BM_ScorePairsBatched)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-BENCHMARK(BM_ScorePairsBatchedSmallChunks)->Arg(4);
+// Real time: pairs_per_sec is a rate, and with worker threads the main
+// thread's CPU time is not the time the scoring took.
+BENCHMARK(BM_ScorePairsUnchunked)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
+    ->UseRealTime();
+BENCHMARK(BM_ScorePairsBatched)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
+BENCHMARK(BM_ScorePairsBatchedSmallChunks)->Arg(4)->UseRealTime();
 
 }  // namespace
 }  // namespace autoem

@@ -75,6 +75,38 @@ void BM_JaroWinkler(benchmark::State& state) {
 }
 BENCHMARK(BM_JaroWinkler)->Arg(2)->Arg(8)->Arg(24);
 
+// The scalar flag-array Jaro-Winkler: denominator for the bit-parallel Jaro.
+void BM_JaroWinklerReference(benchmark::State& state) {
+  std::string a = MakeString(state.range(0), 3);
+  std::string b = MakeString(state.range(0), 4);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(reference::JaroWinklerSimilarity(a, b));
+  }
+}
+BENCHMARK(BM_JaroWinklerReference)->Arg(2)->Arg(8)->Arg(24);
+
+// Both alignment features of one pair from the one-pass DP.
+void BM_Alignment(benchmark::State& state) {
+  std::string a = MakeString(state.range(0), 12);
+  std::string b = MakeString(state.range(0), 13);
+  for (auto _ : state) {
+    const AlignmentScores s = Align(a, b);
+    benchmark::DoNotOptimize(s.needleman_wunsch + s.smith_waterman);
+  }
+}
+BENCHMARK(BM_Alignment)->Arg(2)->Arg(8)->Arg(24);
+
+// The same two features from the two per-measure reference DPs.
+void BM_AlignmentReference(benchmark::State& state) {
+  std::string a = MakeString(state.range(0), 12);
+  std::string b = MakeString(state.range(0), 13);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(reference::NeedlemanWunsch(a, b) +
+                             reference::SmithWaterman(a, b));
+  }
+}
+BENCHMARK(BM_AlignmentReference)->Arg(2)->Arg(8)->Arg(24);
+
 void BM_MongeElkan(benchmark::State& state) {
   std::string a = MakeString(state.range(0), 5);
   std::string b = MakeString(state.range(0), 6);
@@ -83,6 +115,17 @@ void BM_MongeElkan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MongeElkan)->Arg(2)->Arg(8)->Arg(24);
+
+// Allocating tokens and the scalar Jaro-Winkler: denominator for the
+// zero-copy Monge-Elkan.
+void BM_MongeElkanReference(benchmark::State& state) {
+  std::string a = MakeString(state.range(0), 5);
+  std::string b = MakeString(state.range(0), 6);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(reference::MongeElkan(a, b));
+  }
+}
+BENCHMARK(BM_MongeElkanReference)->Arg(2)->Arg(8)->Arg(24);
 
 // Per-pair cost of a 3-gram Jaccard feature as production pays it: the
 // token cache interns each record's grams into a sorted ID vector *once*,

@@ -3,6 +3,8 @@
 #include <cctype>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 
 namespace autoem {
 
@@ -66,6 +68,29 @@ std::string Join(const std::vector<std::string>& pieces,
 
 bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
+}
+
+bool ParseDouble(std::string_view s, double* out) {
+  if (s.empty()) return false;
+  // strtod needs a NUL-terminated copy. Cells short enough for any
+  // realistic number are copied to the stack instead of a heap string.
+  char stack_buf[64];
+  std::string heap_buf;
+  const char* begin = stack_buf;
+  if (s.size() < sizeof(stack_buf)) {
+    std::memcpy(stack_buf, s.data(), s.size());
+    stack_buf[s.size()] = '\0';
+  } else {
+    heap_buf.assign(s);
+    begin = heap_buf.c_str();
+  }
+  char* end = nullptr;
+  const double v = std::strtod(begin, &end);
+  // Compare against the size, not against '\0': strtod stops at an embedded
+  // NUL, which would otherwise pass for the end of the cell.
+  if (end != begin + s.size()) return false;
+  *out = v;
+  return true;
 }
 
 std::string StrFormat(const char* fmt, ...) {

@@ -25,6 +25,11 @@ std::string Join(const std::vector<std::string>& pieces, std::string_view sep);
 /// True if `s` starts with `prefix`.
 bool StartsWith(std::string_view s, std::string_view prefix);
 
+/// Parses all of `s` as a strtod number into *out. False (and *out left
+/// unchanged) when `s` is empty or any byte is left over, including bytes
+/// after an embedded NUL: "12\0abc" is not the number 12.
+bool ParseDouble(std::string_view s, double* out);
+
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));

@@ -163,6 +163,11 @@ void FeatureGenerator::GenerateRowCached(const TableTokenCache& left,
     return kind == TokenizerKind::kWhitespace ? cell.space_ids
                                               : cell.qgram_ids;
   };
+  // Shared kernels run once per (pair, attribute): the memo is reset
+  // whenever the attribute changes, so any plan order is correct and
+  // attribute-grouped plans (every planner's) share the most.
+  KernelMemo memo;
+  size_t memo_attr = static_cast<size_t>(-1);
   for (size_t f = 0; f < plan_.size(); ++f) {
     const FeaturePlan& p = plan_[f];
     const CachedCell& lc = left.cell(left_row, p.attr_index);
@@ -171,15 +176,19 @@ void FeatureGenerator::GenerateRowCached(const TableTokenCache& left,
       row[f] = std::numeric_limits<double>::quiet_NaN();
       continue;
     }
+    if (p.attr_index != memo_attr) {
+      memo.Reset(lc.text, rc.text);
+      memo_attr = p.attr_index;
+    }
     // kNone token measures (not produced by any planner) fall back to the
-    // uncached path rather than growing the cache by a third token kind.
+    // string path rather than growing the cache by a third token kind.
     if (p.func.IsTokenMeasure() && p.func.tokenizer != TokenizerKind::kNone) {
       ++hits;
-      row[f] = p.func.ApplyTokenIds(ids_of(lc, p.func.tokenizer),
-                                    ids_of(rc, p.func.tokenizer));
+      row[f] = memo.ApplyTokenIds(p.func, ids_of(lc, p.func.tokenizer),
+                                  ids_of(rc, p.func.tokenizer));
     } else {
       if (p.func.IsTokenMeasure()) ++misses;
-      row[f] = p.func.Apply(lc.text, rc.text);
+      row[f] = memo.Apply(p.func);
     }
   }
   for (size_t t = 0; t < tfidf_plans_.size(); ++t) {

@@ -31,25 +31,45 @@ int LevenshteinDistance(std::string_view a, std::string_view b);
 /// empty strings.
 double LevenshteinSimilarity(std::string_view a, std::string_view b);
 
-/// Jaro similarity in [0, 1].
+/// LevenshteinSimilarity from a known distance: 1 - distance / max_len, 1.0
+/// when max_len is 0. Lets one distance serve both Levenshtein features.
+double LevenshteinSimilarityFromDistance(int distance, size_t max_len);
+
+/// Jaro similarity in [0, 1]. Bit-parallel: b's unmatched positions live in
+/// a bit set (one word when |b| <= 64), and each character of a takes the
+/// lowest set bit of `eq[a[i]] & unmatched & window` — exactly the greedy
+/// "first unmatched equal position in the window" of `reference::`.
 double JaroSimilarity(std::string_view a, std::string_view b);
 
 /// Jaro-Winkler similarity with common-prefix boost (p = 0.1, max prefix 4).
 double JaroWinklerSimilarity(std::string_view a, std::string_view b);
 
+/// Winkler's prefix boost applied to `jaro`, the Jaro similarity of (a, b).
+/// Lets one Jaro pass serve both the Jaro and the Jaro-Winkler features.
+double JaroWinklerFromJaro(double jaro, std::string_view a, std::string_view b);
+
 /// 1.0 iff the strings are identical, else 0.0.
 double ExactMatch(std::string_view a, std::string_view b);
 
-/// Needleman-Wunsch global alignment score (match +1, mismatch -1, gap -1),
-/// normalized by max(|a|, |b|) and affinely rescaled from the raw [-1, 1]
-/// band into [0, 1] like every other string kernel: identical strings score
-/// 1.0, empty-vs-nonempty and all-mismatch score 0.0, and two empty strings
-/// score 1.0. Keeping the feature bounded stops alignment scores from
-/// leaking an unbounded negative range into the imputer/scaler.
+/// Both alignment scores of (a, b). Needleman-Wunsch and Smith-Waterman run
+/// the same recurrence (match +1, mismatch -1, gap -1) and differ only in
+/// Smith-Waterman's floor of 0, so one DP pass yields both.
+struct AlignmentScores {
+  double needleman_wunsch;
+  double smith_waterman;
+};
+AlignmentScores Align(std::string_view a, std::string_view b);
+
+/// Needleman-Wunsch global alignment score normalized by max(|a|, |b|) and
+/// affinely rescaled from the raw [-1, 1] band into [0, 1] like every other
+/// string kernel: identical strings score 1.0, empty-vs-nonempty and
+/// all-mismatch score 0.0, and two empty strings score 1.0. Keeping the
+/// feature bounded stops alignment scores from leaking an unbounded negative
+/// range into the imputer/scaler.
 double NeedlemanWunsch(std::string_view a, std::string_view b);
 
-/// Smith-Waterman local alignment score (match +1, mismatch -1, gap -1)
-/// normalized by min(|a|, |b|), in [0, 1].
+/// Smith-Waterman local alignment score normalized by min(|a|, |b|), in
+/// [0, 1].
 double SmithWaterman(std::string_view a, std::string_view b);
 
 /// Monge-Elkan: mean over tokens of `a` of the best Jaro-Winkler match in
@@ -83,6 +103,14 @@ double OverlapCoefficient(const std::vector<std::string>& a,
 // and computes the same integer |A|, |B|, |A ∩ B| as the string overloads,
 // so the resulting doubles are bit-identical.
 
+/// The four set measures from the set sizes |A|, |B| and |A ∩ B|. Both the
+/// string and the ID overloads compute their counts and then call these, so
+/// one intersection can serve all four measures of a tokenizer.
+double JaccardFromCounts(size_t a, size_t b, size_t inter);
+double CosineFromCounts(size_t a, size_t b, size_t inter);
+double DiceFromCounts(size_t a, size_t b, size_t inter);
+double OverlapFromCounts(size_t a, size_t b, size_t inter);
+
 /// |A ∩ B| for sorted duplicate-free ID vectors.
 size_t SortedIdIntersectionSize(const std::vector<uint32_t>& a,
                                 const std::vector<uint32_t>& b);
@@ -110,6 +138,20 @@ namespace reference {
 
 /// Textbook one-row dynamic program. Oracle for the bit-parallel kernel.
 int LevenshteinDistance(std::string_view a, std::string_view b);
+
+/// Scalar greedy matching over two flag arrays. Oracle for the bit-parallel
+/// Jaro and for the shared-Jaro Jaro-Winkler.
+double JaroSimilarity(std::string_view a, std::string_view b);
+double JaroWinklerSimilarity(std::string_view a, std::string_view b);
+
+/// One-row dynamic programs, one per measure. Oracles for the one-pass
+/// `Align`.
+double NeedlemanWunsch(std::string_view a, std::string_view b);
+double SmithWaterman(std::string_view a, std::string_view b);
+
+/// Allocating whitespace tokens scored with `reference::JaroWinklerSimilarity`.
+/// Oracle for the zero-copy Monge-Elkan.
+double MongeElkan(std::string_view a, std::string_view b);
 
 }  // namespace reference
 

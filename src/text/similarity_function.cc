@@ -1,28 +1,11 @@
 #include "text/similarity_function.h"
 
-#include <cmath>
-#include <cstdlib>
+#include <algorithm>
 #include <limits>
 
-#include "text/similarity.h"
+#include "common/string_util.h"
 
 namespace autoem {
-
-namespace {
-
-double ParseNumber(std::string_view s, bool* ok) {
-  if (s.empty()) {
-    *ok = false;
-    return 0.0;
-  }
-  char* end = nullptr;
-  std::string buf(s);
-  double v = std::strtod(buf.c_str(), &end);
-  *ok = (end != nullptr && *end == '\0');
-  return v;
-}
-
-}  // namespace
 
 const char* MeasureName(Measure m) {
   switch (m) {
@@ -77,71 +60,120 @@ bool SimFunction::IsTokenMeasure() const {
   }
 }
 
-double SimFunction::ApplyTokens(const std::vector<std::string>& a_tokens,
-                                const std::vector<std::string>& b_tokens) const {
-  switch (measure) {
+namespace {
+
+// A set measure from its counts (see JaccardFromCounts and friends).
+double SetMeasureFromCounts(Measure m, size_t a, size_t b, size_t inter) {
+  switch (m) {
     case Measure::kOverlapCoefficient:
-      return OverlapCoefficient(a_tokens, b_tokens);
+      return OverlapFromCounts(a, b, inter);
     case Measure::kDice:
-      return DiceSimilarity(a_tokens, b_tokens);
+      return DiceFromCounts(a, b, inter);
     case Measure::kCosine:
-      return CosineSimilarity(a_tokens, b_tokens);
+      return CosineFromCounts(a, b, inter);
     case Measure::kJaccard:
-      return JaccardSimilarity(a_tokens, b_tokens);
+      return JaccardFromCounts(a, b, inter);
     default:
       return std::numeric_limits<double>::quiet_NaN();
   }
 }
 
-double SimFunction::ApplyTokenIds(const std::vector<uint32_t>& a_ids,
-                                  const std::vector<uint32_t>& b_ids) const {
-  switch (measure) {
+// A set measure on string tokens (the uncached path).
+double SetMeasureOnTokens(Measure m, const std::vector<std::string>& a,
+                          const std::vector<std::string>& b) {
+  switch (m) {
     case Measure::kOverlapCoefficient:
-      return OverlapCoefficientIds(a_ids, b_ids);
+      return OverlapCoefficient(a, b);
     case Measure::kDice:
-      return DiceSimilarityIds(a_ids, b_ids);
+      return DiceSimilarity(a, b);
     case Measure::kCosine:
-      return CosineSimilarityIds(a_ids, b_ids);
+      return CosineSimilarity(a, b);
     case Measure::kJaccard:
-      return JaccardSimilarityIds(a_ids, b_ids);
+      return JaccardSimilarity(a, b);
     default:
       return std::numeric_limits<double>::quiet_NaN();
   }
 }
+
+}  // namespace
 
 double SimFunction::Apply(std::string_view a, std::string_view b) const {
-  switch (measure) {
+  KernelMemo memo;
+  memo.Reset(a, b);
+  return memo.Apply(*this);
+}
+
+void KernelMemo::Reset(std::string_view a, std::string_view b) {
+  a_ = a;
+  b_ = b;
+  has_levenshtein_ = false;
+  has_jaro_ = false;
+  has_alignment_ = false;
+  has_intersection_[0] = false;
+  has_intersection_[1] = false;
+}
+
+double KernelMemo::Apply(const SimFunction& f) {
+  switch (f.measure) {
     case Measure::kLevenshteinDistance:
-      return static_cast<double>(LevenshteinDistance(a, b));
     case Measure::kLevenshteinSimilarity:
-      return LevenshteinSimilarity(a, b);
+      if (!has_levenshtein_) {
+        levenshtein_ = LevenshteinDistance(a_, b_);
+        has_levenshtein_ = true;
+      }
+      return f.measure == Measure::kLevenshteinDistance
+                 ? static_cast<double>(levenshtein_)
+                 : LevenshteinSimilarityFromDistance(
+                       levenshtein_, std::max(a_.size(), b_.size()));
     case Measure::kJaro:
-      return JaroSimilarity(a, b);
     case Measure::kJaroWinkler:
-      return JaroWinklerSimilarity(a, b);
-    case Measure::kExactMatch:
-      return ExactMatch(a, b);
+      if (!has_jaro_) {
+        jaro_ = JaroSimilarity(a_, b_);
+        has_jaro_ = true;
+      }
+      return f.measure == Measure::kJaro ? jaro_
+                                         : JaroWinklerFromJaro(jaro_, a_, b_);
     case Measure::kNeedlemanWunsch:
-      return NeedlemanWunsch(a, b);
     case Measure::kSmithWaterman:
-      return SmithWaterman(a, b);
+      if (!has_alignment_) {
+        alignment_ = Align(a_, b_);
+        has_alignment_ = true;
+      }
+      return f.measure == Measure::kNeedlemanWunsch
+                 ? alignment_.needleman_wunsch
+                 : alignment_.smith_waterman;
+    case Measure::kExactMatch:
+      return ExactMatch(a_, b_);
     case Measure::kMongeElkan:
-      return MongeElkan(a, b);
+      return MongeElkan(a_, b_);
     case Measure::kOverlapCoefficient:
     case Measure::kDice:
     case Measure::kCosine:
     case Measure::kJaccard:
-      return ApplyTokens(Tokenize(tokenizer, a), Tokenize(tokenizer, b));
+      return SetMeasureOnTokens(f.measure, Tokenize(f.tokenizer, a_),
+                                Tokenize(f.tokenizer, b_));
     case Measure::kAbsoluteNorm: {
-      bool ok_a = false;
-      bool ok_b = false;
-      double va = ParseNumber(a, &ok_a);
-      double vb = ParseNumber(b, &ok_b);
-      if (!ok_a || !ok_b) return std::numeric_limits<double>::quiet_NaN();
+      double va = 0.0;
+      double vb = 0.0;
+      if (!ParseDouble(a_, &va) || !ParseDouble(b_, &vb)) {
+        return std::numeric_limits<double>::quiet_NaN();
+      }
       return AbsoluteNorm(va, vb);
     }
   }
   return std::numeric_limits<double>::quiet_NaN();
+}
+
+double KernelMemo::ApplyTokenIds(const SimFunction& f,
+                                 const std::vector<uint32_t>& a_ids,
+                                 const std::vector<uint32_t>& b_ids) {
+  const size_t k = f.tokenizer == TokenizerKind::kWhitespace ? 0 : 1;
+  if (!has_intersection_[k]) {
+    intersection_[k] = SortedIdIntersectionSize(a_ids, b_ids);
+    has_intersection_[k] = true;
+  }
+  return SetMeasureFromCounts(f.measure, a_ids.size(), b_ids.size(),
+                              intersection_[k]);
 }
 
 const std::vector<SimFunction>& AllStringFunctions() {

@@ -6,6 +6,7 @@
 #include <string_view>
 #include <vector>
 
+#include "text/similarity.h"
 #include "text/tokenizer.h"
 
 namespace autoem {
@@ -44,21 +45,44 @@ struct SimFunction {
   /// True when the measure consumes token *sets* (Overlap/Dice/Cosine/
   /// Jaccard), i.e. when `tokenizer` participates in Apply.
   bool IsTokenMeasure() const;
+};
 
-  /// Token-set measures on pre-tokenized inputs: bit-identical to Apply on
-  /// the strings the tokens came from. Callers (the feature-generation token
-  /// cache) tokenize each record once instead of once per pair per feature.
-  /// Precondition: IsTokenMeasure().
-  double ApplyTokens(const std::vector<std::string>& a_tokens,
-                     const std::vector<std::string>& b_tokens) const;
+/// Memo of the kernels several Table II functions share, for one pair of
+/// cell strings: one Levenshtein serves lev_dist and lev_sim, one Jaro serves
+/// jaro and jaro_winkler, one alignment pass serves Needleman-Wunsch and
+/// Smith-Waterman, and one ID intersection per tokenizer serves the four set
+/// measures. Each kernel runs at most once between Resets, on first use.
+///
+/// The memo is keyed by nothing but Reset: the caller must Reset it whenever
+/// the strings (for feature rows: the attribute) change. SimFunction::Apply
+/// is a fresh memo applied once, so both paths run the same kernels.
+class KernelMemo {
+ public:
+  /// Forgets every memoized result and binds the memo to (a, b). The
+  /// strings must stay alive until the next Reset.
+  void Reset(std::string_view a, std::string_view b);
 
-  /// Token-set measures on interned sorted-unique token IDs (the
-  /// TableTokenCache fast path): a single linear merge per pair, bit-identical
-  /// to ApplyTokens on the string tokens the IDs were interned from as long
-  /// as both sides used the same TokenInterner. Precondition:
-  /// IsTokenMeasure().
-  double ApplyTokenIds(const std::vector<uint32_t>& a_ids,
-                       const std::vector<uint32_t>& b_ids) const;
+  /// `f` applied to the bound strings; equal to f.Apply(a, b).
+  double Apply(const SimFunction& f);
+
+  /// Set measure `f` on the interned sorted-unique token IDs of the bound
+  /// strings under f.tokenizer (both sides from one TokenInterner); equal to
+  /// f.Apply(a, b). Precondition: f.IsTokenMeasure() and f.tokenizer is
+  /// kWhitespace or kQGram3.
+  double ApplyTokenIds(const SimFunction& f, const std::vector<uint32_t>& a_ids,
+                       const std::vector<uint32_t>& b_ids);
+
+ private:
+  std::string_view a_;
+  std::string_view b_;
+  bool has_levenshtein_ = false;
+  bool has_jaro_ = false;
+  bool has_alignment_ = false;
+  bool has_intersection_[2] = {false, false};  // [kWhitespace, kQGram3]
+  int levenshtein_ = 0;
+  double jaro_ = 0.0;
+  AlignmentScores alignment_{};
+  size_t intersection_[2] = {0, 0};
 };
 
 /// Short display name of a measure, e.g. "Jaccard Similarity".

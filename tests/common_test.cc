@@ -187,6 +187,27 @@ TEST(StringUtilTest, SplitKeepsEmptyFields) {
   EXPECT_EQ(parts[3], "");
 }
 
+TEST(StringUtilTest, ParseDoubleNeedsTheWholeCell) {
+  double v = -1.0;
+  EXPECT_TRUE(ParseDouble("3.25", &v));
+  EXPECT_EQ(v, 3.25);
+  EXPECT_TRUE(ParseDouble("-17", &v));
+  EXPECT_EQ(v, -17.0);
+  v = -1.0;
+  EXPECT_FALSE(ParseDouble("", &v));
+  EXPECT_FALSE(ParseDouble("12x", &v));
+  EXPECT_FALSE(ParseDouble(std::string_view("12\0abc", 6), &v));
+  EXPECT_FALSE(ParseDouble(std::string_view("12\0", 3), &v));
+  EXPECT_EQ(v, -1.0);  // untouched on failure
+  // Longer than the stack buffer: same rule on the heap copy.
+  const std::string long_number = "0." + std::string(80, '0') + "5";
+  EXPECT_TRUE(ParseDouble(long_number, &v));
+  EXPECT_EQ(v, 5e-81);
+  std::string long_nul = long_number;
+  long_nul[70] = '\0';
+  EXPECT_FALSE(ParseDouble(long_nul, &v));
+}
+
 TEST(StringUtilTest, SplitWhitespaceDropsEmpty) {
   auto parts = SplitWhitespace("  new   york  city ");
   ASSERT_EQ(parts.size(), 3u);

@@ -18,6 +18,9 @@
 
 #include "automl/surrogate.h"
 #include "common/rng.h"
+#include "datagen/benchmark_gen.h"
+#include "features/feature_gen.h"
+#include "io/serialize.h"
 #include "ml/models/adaboost.h"
 #include "ml/models/decision_tree.h"
 #include "ml/models/flat_forest.h"
@@ -27,6 +30,7 @@
 #include "preprocess/balancing.h"
 #include "text/interner.h"
 #include "text/similarity.h"
+#include "text/similarity_function.h"
 #include "text/tokenizer.h"
 
 namespace autoem {
@@ -320,6 +324,288 @@ TEST(KernelPropertyTokenizers, ArenaWhitespaceMatchesAllocating) {
       EXPECT_EQ(std::string(views[i]), expected[i]);
     }
   }
+}
+
+// ---- Jaro, alignment and Monge-Elkan: fast kernels vs reference -------------
+
+bool SameBits(double x, double y) {
+  return std::memcmp(&x, &y, sizeof(x)) == 0;
+}
+
+// Strings for the all-pairs sweeps: the hostile set plus runs and random
+// strings at lengths 1/63/64/65/128 (either side of the one-word kernels),
+// bytes >= 0x80 and embedded NULs.
+std::vector<std::string> SweepStrings(Rng* rng) {
+  std::vector<std::string> v = HostileStrings();
+  for (size_t len : {1, 2, 63, 64, 65, 128}) {
+    v.push_back(RandomString(rng, len, 2));
+    v.push_back(RandomString(rng, len, 5));
+    v.push_back(RandomBytes(rng, len));
+  }
+  v.push_back(std::string(64, '\x80'));
+  v.push_back(std::string(65, '\xFF'));
+  v.push_back(std::string(130, '\0'));
+  v.push_back(std::string("ab\0ab\0ab", 8));
+  return v;
+}
+
+// Random strings whose lengths straddle 64 and 128 on either side.
+std::vector<std::pair<std::string, std::string>> RandomPairs(Rng* rng,
+                                                              int n) {
+  std::vector<std::pair<std::string, std::string>> pairs;
+  for (int i = 0; i < n; ++i) {
+    const int alphabet = 2 + static_cast<int>(rng->UniformIndex(6));
+    std::string a = (i % 4 == 3) ? RandomBytes(rng, rng->UniformIndex(160))
+                                 : RandomString(rng, rng->UniformIndex(160),
+                                                alphabet);
+    std::string b = (i % 4 == 3) ? RandomBytes(rng, rng->UniformIndex(160))
+                                 : RandomString(rng, rng->UniformIndex(160),
+                                                alphabet);
+    pairs.emplace_back(std::move(a), std::move(b));
+  }
+  return pairs;
+}
+
+template <typename Check>
+void ForSweepAndRandomPairs(uint64_t seed, Check check) {
+  Rng rng(seed);
+  const std::vector<std::string> sweep = SweepStrings(&rng);
+  for (const std::string& a : sweep) {
+    for (const std::string& b : sweep) check(a, b);
+  }
+  for (const auto& [a, b] : RandomPairs(&rng, 600)) check(a, b);
+}
+
+TEST(KernelPropertyJaro, MatchesReferenceBitForBit) {
+  ForSweepAndRandomPairs(71, [](const std::string& a, const std::string& b) {
+    EXPECT_TRUE(SameBits(JaroSimilarity(a, b), reference::JaroSimilarity(a, b)))
+        << "la=" << a.size() << " lb=" << b.size() << ": "
+        << JaroSimilarity(a, b) << " vs " << reference::JaroSimilarity(a, b);
+  });
+}
+
+TEST(KernelPropertyJaro, WinklerMatchesReferenceBitForBit) {
+  ForSweepAndRandomPairs(73, [](const std::string& a, const std::string& b) {
+    const double expected = reference::JaroWinklerSimilarity(a, b);
+    EXPECT_TRUE(SameBits(JaroWinklerSimilarity(a, b), expected))
+        << "la=" << a.size() << " lb=" << b.size();
+    EXPECT_TRUE(
+        SameBits(JaroWinklerFromJaro(JaroSimilarity(a, b), a, b), expected));
+  });
+}
+
+TEST(KernelPropertyJaro, WindowEdgesAndTranspositions) {
+  // Matches exactly at the window's edge, repeated characters competing for
+  // one position, and transposed pairs across the 64-byte boundary.
+  const std::pair<std::string, std::string> cases[] = {
+      {"martha", "marhta"},     {"dixon", "dicksonx"},
+      {"abcd", "dcba"},         {"aaaa", "aa"},
+      {"ab", "ba"},             {"a", "a"},
+      {std::string(40, 'a') + "b", "b" + std::string(40, 'a')},
+      {std::string(63, 'a') + "xy", std::string(63, 'a') + "yx"},
+      {std::string(64, 'a') + "xy", "yx" + std::string(64, 'a')},
+      {std::string(200, 'q'), std::string(65, 'q')},
+      {std::string(65, 'q'), std::string(200, 'q')},
+  };
+  for (const auto& [a, b] : cases) {
+    EXPECT_TRUE(SameBits(JaroSimilarity(a, b), reference::JaroSimilarity(a, b)))
+        << a << " / " << b;
+    EXPECT_TRUE(SameBits(JaroSimilarity(b, a), reference::JaroSimilarity(b, a)))
+        << b << " / " << a;
+  }
+}
+
+TEST(KernelPropertyAlignment, OnePassMatchesBothReferencesBitForBit) {
+  ForSweepAndRandomPairs(79, [](const std::string& a, const std::string& b) {
+    const AlignmentScores s = Align(a, b);
+    const double nw = reference::NeedlemanWunsch(a, b);
+    const double sw = reference::SmithWaterman(a, b);
+    EXPECT_TRUE(SameBits(s.needleman_wunsch, nw))
+        << "la=" << a.size() << " lb=" << b.size();
+    EXPECT_TRUE(SameBits(s.smith_waterman, sw))
+        << "la=" << a.size() << " lb=" << b.size();
+    EXPECT_TRUE(SameBits(NeedlemanWunsch(a, b), nw));
+    EXPECT_TRUE(SameBits(SmithWaterman(a, b), sw));
+  });
+}
+
+TEST(KernelPropertyAlignment, LocalScoreNeedsTheZeroFloor) {
+  // The shared "abc" starts in the interior of the DP: without the floor,
+  // the mismatched prefixes would drag its local score from 3 down to 1.
+  EXPECT_DOUBLE_EQ(Align("xxabcxx", "yyabcyy").smith_waterman, 3.0 / 7.0);
+  EXPECT_DOUBLE_EQ(Align("xxxxxxabc", "abc").smith_waterman, 1.0);
+  EXPECT_DOUBLE_EQ(Align("abc", "abc").needleman_wunsch, 1.0);
+  EXPECT_DOUBLE_EQ(Align("", "abc").needleman_wunsch, 0.0);
+  EXPECT_DOUBLE_EQ(Align("", "").smith_waterman, 1.0);
+}
+
+// Whitespace-separated words (runs of spaces, tabs and newlines, words with
+// NULs and high bytes) for the token-level Monge-Elkan sweep.
+std::string RandomWords(Rng* rng, size_t words) {
+  const char* separators[] = {" ", "  ", "\t", "\n ", " \r"};
+  std::string s;
+  if (rng->UniformIndex(3) == 0) s += " ";
+  for (size_t w = 0; w < words; ++w) {
+    if (w > 0) s += separators[rng->UniformIndex(5)];
+    const size_t len = 1 + rng->UniformIndex(rng->UniformIndex(8) == 0 ? 90 : 8);
+    for (size_t c = 0; c < len; ++c) {
+      const size_t r = rng->UniformIndex(20);
+      s.push_back(r == 0 ? '\0' : r == 1 ? '\xC3' : static_cast<char>('a' + r % 4));
+    }
+  }
+  return s;
+}
+
+TEST(KernelPropertyMongeElkan, MatchesReferenceBitForBit) {
+  Rng rng(83);
+  std::vector<std::string> inputs = SweepStrings(&rng);
+  inputs.push_back("new york city");
+  inputs.push_back("york  new\tcity");
+  inputs.push_back(" \t\n ");
+  for (int i = 0; i < 40; ++i) inputs.push_back(RandomWords(&rng, rng.UniformIndex(7)));
+  for (const std::string& a : inputs) {
+    for (const std::string& b : inputs) {
+      EXPECT_TRUE(SameBits(MongeElkan(a, b), reference::MongeElkan(a, b)))
+          << "la=" << a.size() << " lb=" << b.size();
+    }
+  }
+}
+
+// ---- set measures: one count-based formula ----------------------------------
+
+TEST(KernelPropertyTokenSets, CountFormulaMatchesIdAndStringOverloads) {
+  Rng rng(89);
+  TokenInterner interner;
+  for (int iter = 0; iter < 400; ++iter) {
+    const std::string a = RandomWords(&rng, rng.UniformIndex(6));
+    const std::string b = RandomWords(&rng, rng.UniformIndex(6));
+    for (TokenizerKind kind :
+         {TokenizerKind::kWhitespace, TokenizerKind::kQGram3}) {
+      const std::vector<std::string> ta = Tokenize(kind, a);
+      const std::vector<std::string> tb = Tokenize(kind, b);
+      const std::vector<uint32_t> ia = InternSortedUnique(ta, &interner);
+      const std::vector<uint32_t> ib = InternSortedUnique(tb, &interner);
+      const size_t inter = SortedIdIntersectionSize(ia, ib);
+      const double by_counts[] = {
+          JaccardFromCounts(ia.size(), ib.size(), inter),
+          CosineFromCounts(ia.size(), ib.size(), inter),
+          DiceFromCounts(ia.size(), ib.size(), inter),
+          OverlapFromCounts(ia.size(), ib.size(), inter),
+      };
+      const Measure measures[] = {Measure::kJaccard, Measure::kCosine,
+                                  Measure::kDice,
+                                  Measure::kOverlapCoefficient};
+      KernelMemo memo;
+      memo.Reset(a, b);
+      for (size_t k = 0; k < 4; ++k) {
+        const NamedSetKernel& m = kSetKernels[k];
+        EXPECT_TRUE(SameBits(by_counts[k], m.ids(ia, ib))) << m.name;
+        EXPECT_TRUE(SameBits(by_counts[k], m.strings(ta, tb))) << m.name;
+        const SimFunction f{measures[k], kind};
+        EXPECT_TRUE(SameBits(by_counts[k], f.Apply(a, b))) << f.Name();
+        EXPECT_TRUE(SameBits(by_counts[k], memo.ApplyTokenIds(f, ia, ib)))
+            << f.Name();
+      }
+    }
+  }
+}
+
+// ---- whole feature rows: shared-kernel memo vs per-function Apply -----------
+
+// GenerateChunk (token cache + per-attribute memo) must equal GenerateRow,
+// which applies each planned SimFunction on its own, bit for bit.
+void ExpectChunkMatchesPerFunction(const FeatureGenerator& gen,
+                                   const PairSet& set, size_t max_pairs,
+                                   const std::string& label) {
+  const size_t n = std::min(max_pairs, set.pairs.size());
+  ASSERT_GT(n, 0u);
+  const FeatureGenerator::PreparedTables prepared =
+      gen.Prepare(set.left, set.right);
+  const Matrix X = gen.GenerateChunk(prepared, set.pairs, 0, n);
+  size_t mismatches = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const RecordPair& pair = set.pairs[i];
+    const std::vector<double> row = gen.GenerateRow(
+        set.left.row(pair.left_id), set.right.row(pair.right_id));
+    ASSERT_EQ(row.size(), X.cols());
+    for (size_t f = 0; f < row.size(); ++f) {
+      if (!SameBits(row[f], X.At(i, f)) && ++mismatches <= 5) {
+        ADD_FAILURE() << label << ": pair " << i << " feature "
+                      << (f < gen.plan().size() ? gen.plan()[f].name
+                                                : std::string("tfidf"))
+                      << ": " << X.At(i, f) << " vs " << row[f];
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << label;
+}
+
+BenchmarkData RowSample(const std::string& name) {
+  auto data = GenerateBenchmarkByName(name, 7, 0.05);
+  EXPECT_TRUE(data.ok());
+  return std::move(*data);
+}
+
+TEST(FeatureRowDifferential, AutoMlEmPlansMatchPerFunctionApply) {
+  for (const char* name : {"Walmart-Amazon", "Fodors-Zagats"}) {
+    BenchmarkData data = RowSample(name);
+    for (bool tfidf : {false, true}) {
+      AutoMlEmFeatureGenerator gen(tfidf);
+      ASSERT_TRUE(gen.Plan(data.train.left, data.train.right).ok());
+      ExpectChunkMatchesPerFunction(
+          gen, data.train, 300,
+          std::string(name) + (tfidf ? " automl_em+tfidf" : " automl_em"));
+    }
+  }
+}
+
+TEST(FeatureRowDifferential, MagellanPlanMatchesPerFunctionApply) {
+  for (const char* name : {"Walmart-Amazon", "Fodors-Zagats"}) {
+    BenchmarkData data = RowSample(name);
+    MagellanFeatureGenerator gen;
+    ASSERT_TRUE(gen.Plan(data.train.left, data.train.right).ok());
+    ExpectChunkMatchesPerFunction(gen, data.train, 300,
+                                  std::string(name) + " magellan");
+  }
+}
+
+TEST(FeatureRowDifferential, InterleavedLoadedPlanMatchesPerFunctionApply) {
+  // A saved plan may list attributes in any order. Re-encode the AutoML-EM
+  // plan round-robin across attributes so consecutive features never share
+  // an attribute, and load it back: the memo must be reset at every step.
+  BenchmarkData data = RowSample("Walmart-Amazon");
+  AutoMlEmFeatureGenerator planned;
+  ASSERT_TRUE(planned.Plan(data.train.left, data.train.right).ok());
+  std::vector<std::vector<const FeaturePlan*>> by_attr;
+  for (const FeaturePlan& p : planned.plan()) {
+    if (by_attr.size() <= p.attr_index) by_attr.resize(p.attr_index + 1);
+    by_attr[p.attr_index].push_back(&p);
+  }
+  std::vector<const FeaturePlan*> interleaved;
+  for (size_t k = 0; interleaved.size() < planned.plan().size(); ++k) {
+    for (const auto& plans : by_attr) {
+      if (k < plans.size()) interleaved.push_back(plans[k]);
+    }
+  }
+  io::Writer w;
+  w.U64(interleaved.size());
+  for (const FeaturePlan* p : interleaved) {
+    w.U64(p->attr_index);
+    w.U32(static_cast<uint32_t>(p->func.measure));
+    w.U32(static_cast<uint32_t>(p->func.tokenizer));
+    w.Str(p->name);
+  }
+  w.U64(0);  // no TF-IDF plans
+  AutoMlEmFeatureGenerator loaded;
+  io::Reader r(w.data());
+  ASSERT_TRUE(loaded.LoadState(&r).ok());
+  ASSERT_EQ(loaded.plan().size(), planned.plan().size());
+  size_t switches = 0;
+  for (size_t f = 1; f < loaded.plan().size(); ++f) {
+    switches += loaded.plan()[f].attr_index != loaded.plan()[f - 1].attr_index;
+  }
+  ASSERT_GT(switches, loaded.plan().size() / 2);
+  ExpectChunkMatchesPerFunction(loaded, data.train, 300, "interleaved");
 }
 
 // ---- flattened forest vs per-tree scalar walks ------------------------------

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/rng.h"
+#include "table/value.h"
 #include "text/similarity.h"
 #include "text/similarity_function.h"
 #include "text/tokenizer.h"
@@ -270,6 +271,19 @@ TEST(SimFunctionRegistryTest, AbsoluteNormParsesNumbers) {
   EXPECT_NEAR(f.Apply("10", "5"), 0.5, 1e-12);
   EXPECT_TRUE(std::isnan(f.Apply("abc", "5")));
   EXPECT_TRUE(std::isnan(f.Apply("", "5")));
+}
+
+TEST(SimFunctionRegistryTest, AbsoluteNormRejectsEmbeddedNul) {
+  // strtod stops at the NUL, so "12\0abc" once read as the number 12; the
+  // cell must parse the way Value::Parse types it, as a non-number.
+  SimFunction f{Measure::kAbsoluteNorm, TokenizerKind::kNone};
+  const std::string_view nul_cell("12\0abc", 6);
+  EXPECT_TRUE(std::isnan(f.Apply(nul_cell, "12")));
+  EXPECT_TRUE(std::isnan(f.Apply("12", nul_cell)));
+  EXPECT_TRUE(std::isnan(f.Apply("12x", "12")));
+  EXPECT_TRUE(std::isnan(f.Apply(std::string_view("12\0", 3), "12")));
+  EXPECT_DOUBLE_EQ(f.Apply("12", "12"), 1.0);
+  EXPECT_FALSE(Value::Parse(nul_cell).is_number());
 }
 
 }  // namespace
