@@ -27,7 +27,6 @@
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
-#include "obs/profiler.h"
 #include "obs/resource.h"
 #include "obs/trace.h"
 
@@ -78,35 +77,6 @@ void BM_HistogramObserve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HistogramObserve);
-
-void BM_ProfilerGuardDisabled(benchmark::State& state) {
-  // Without --profile-out, ProfilingEnabled() is the only profiler cost a
-  // Span adds: one relaxed atomic load plus an untaken branch, same
-  // single-nanosecond bar as the disabled span/log/probe guards.
-  if (obs::ProfilingEnabled()) {
-    state.SkipWithError("profiler unexpectedly enabled");
-    return;
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(obs::ProfilingEnabled());
-  }
-}
-BENCHMARK(BM_ProfilerGuardDisabled);
-
-void BM_SpanProfilerDisabled(benchmark::State& state) {
-  // Full Span construct/destruct with both tracing and profiling off: the
-  // span must stay in the single-nanosecond range even though its
-  // constructor now also checks the profiler guard.
-  if (obs::TracingEnabled() || obs::ProfilingEnabled()) {
-    state.SkipWithError("tracing/profiling unexpectedly enabled");
-    return;
-  }
-  for (auto _ : state) {
-    obs::Span span("bench.profiler_disabled");
-    benchmark::DoNotOptimize(span.active());
-  }
-}
-BENCHMARK(BM_SpanProfilerDisabled);
 
 void BM_FlowStartDisabled(benchmark::State& state) {
   // ThreadPool::Submit calls EmitFlowStart on every task; with tracing off it

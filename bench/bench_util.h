@@ -13,9 +13,7 @@
 //                 the common {name, params, counters, seconds} schema (the
 //                 CI bench-snapshot job uploads these as BENCH_*.json)
 // plus the shared observability flags (see src/obs/obs.h):
-//   --log-level=<l> --trace-out=<f> --metrics-out=<f> --metrics-format=<f>
-//   --metrics-flush-interval=<s> --resources --profile-out=<f>
-//   --profile-hz=<n>
+//   --log-level=<l> --trace-out=<f> --metrics-out=<f> --resources
 // A bench run with --metrics-out gets the full autoem::obs metrics snapshot
 // (counters/gauges/histograms JSON) written at exit — including any
 // bench-reported figures recorded via ReportBenchMetric below. This replaces
@@ -210,9 +208,7 @@ struct BenchArgs {
       } else if (StartsWith(arg, "--json-out=")) {
         args.json_out = arg.substr(11);
       } else if (obs::ParseObsFlag(arg, &args.obs)) {
-        // --log-level= / --trace-out= / --metrics-out= / --resources /
-        // --metrics-flush-interval= / --metrics-format= / --profile-out= /
-        // --profile-hz=
+        // --log-level= / --trace-out= / --metrics-out= / --resources
       } else if (arg == "--full") {
         args.scale = 1.0;
       } else if (arg == "--help") {
@@ -220,8 +216,7 @@ struct BenchArgs {
             "flags: --scale=F --evals=N --seed=N --threads=N "
             "--datasets=a,b --full --json-out=F\n"
             "       --log-level=L --trace-out=F --metrics-out=F "
-            "--metrics-format=F --metrics-flush-interval=S --resources\n"
-            "       --profile-out=F --profile-hz=N\n");
+            "--resources\n");
         std::exit(0);
       }
     }

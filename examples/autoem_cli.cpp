@@ -26,15 +26,14 @@
 //       Predictions are bit-identical to the training process's.
 //
 //   autoem_cli report --trajectory curve.csv [--metrics metrics.json]
-//                     [--trace trace.json] [--profile p.folded]
-//                     [--out report.html] [--title T]
-//       Joins a profiled run's artifacts (train-eval --save-trajectory,
-//       --metrics-out, --trace-out, --profile-out) into one self-contained
-//       HTML report: tuning curve, per-trial resource table, failure
-//       summary, thread-pool timeline, cache stats, CPU flamegraph, and —
-//       when a trace is given — the "where the time went" critical-path
-//       section. Works with any subset: a trace alone still renders the
-//       timeline/critical-path sections ("not recorded" elsewhere).
+//                     [--trace trace.json] [--out report.html] [--title T]
+//       Joins a run's artifacts (train-eval --save-trajectory,
+//       --metrics-out, --trace-out) into one self-contained HTML report:
+//       tuning curve, per-trial resource table, failure summary, cache
+//       stats, and — when a trace is given — the "where the time went"
+//       critical-path section. Works with any subset: a trace alone still
+//       renders the timeline/critical-path sections ("not recorded"
+//       elsewhere).
 //
 //   autoem_cli trace-analyze --trace trace.json [--json-out analysis.json]
 //       Post-processes a --trace-out file (spans + thread-pool flow events)
@@ -111,11 +110,6 @@ obs::ObsOptions ObsFromFlags(const Flags& flags) {
   std::string resources = flags.Get("resources", "0");
   obs.resources =
       !(resources == "0" || resources == "false" || resources == "off");
-  obs.metrics_flush_interval =
-      std::atof(flags.Get("metrics-flush-interval", "0").c_str());
-  obs.metrics_format = flags.Get("metrics-format");
-  obs.profile_path = flags.Get("profile-out");
-  obs.profile_hz = std::atof(flags.Get("profile-hz", "0").c_str());
   return obs;
 }
 
@@ -356,19 +350,14 @@ int RunReport(const Flags& flags) {
     st = io::ReadFileToString(flags.Get("trace"), &inputs.trace_json);
     if (!st.ok()) Fail(st.ToString());
   }
-  if (flags.Has("profile")) {
-    st = io::ReadFileToString(flags.Get("profile"), &inputs.profile_folded);
-    if (!st.ok()) Fail(st.ToString());
-  }
 
   std::string html = obs::BuildRunReportHtml(inputs);
   std::string out_path = flags.Get("out", "report.html");
   st = io::AtomicWriteFile(out_path, html);
   if (!st.ok()) Fail(st.ToString());
-  std::printf("wrote run report (%zu bytes%s%s%s) to %s\n", html.size(),
+  std::printf("wrote run report (%zu bytes%s%s) to %s\n", html.size(),
               inputs.metrics_text.empty() ? "" : ", with metrics",
               inputs.trace_json.empty() ? "" : ", with trace",
-              inputs.profile_folded.empty() ? "" : ", with profile",
               out_path.c_str());
   return 0;
 }
@@ -417,8 +406,7 @@ void PrintUsage() {
       "predictions.csv]\n"
       "             [--chunk-size N] [--threshold T] [--threads N]\n"
       "  autoem_cli report [--trajectory curve.csv] [--metrics metrics.json]\n"
-      "             [--trace trace.json] [--profile p.folded]\n"
-      "             [--out report.html] [--title T]\n"
+      "             [--trace trace.json] [--out report.html] [--title T]\n"
       "             (needs --trajectory and/or --trace; sections without\n"
       "             their artifact render \"not recorded\")\n"
       "  autoem_cli trace-analyze --trace trace.json [--json-out a.json]\n"
@@ -448,30 +436,20 @@ void PrintUsage() {
       "  --log-level L     trace|debug|info|warn|error|off (default warn)\n"
       "  --trace-out F     write a Chrome trace_event JSON (open in\n"
       "                    chrome://tracing or https://ui.perfetto.dev)\n"
-      "  --metrics-out F   write a counters/gauges/histograms snapshot\n"
-      "  --metrics-format F json (default) | jsonl | openmetrics\n"
-      "  --metrics-flush-interval S\n"
-      "                    rewrite the metrics file atomically every S\n"
-      "                    seconds while running (live telemetry; jsonl\n"
-      "                    accumulates an append-only time series)\n"
+      "  --metrics-out F   write a counters/gauges/histograms JSON snapshot\n"
       "  --resources       attach resource probes: per-trial/fold/iteration\n"
       "                    CPU, wall, peak-RSS delta, allocation counts\n"
       "                    (flows into trajectory CSV, checkpoints, report)\n"
-      "  --profile-out F   sample a CPU profile during the run and write it\n"
-      "                    in collapsed-stack format (flamegraph.pl /\n"
-      "                    speedscope / `report --profile` compatible);\n"
-      "                    samples are attributed to the innermost span\n"
-      "  --profile-hz N    profiler sampling rate (default 97 Hz)\n"
       "  Instrumentation never changes results: search output is\n"
-      "  bit-identical with tracing, probes, and the profiler on or off.\n"
+      "  bit-identical with tracing and probes on or off.\n"
       "\n"
       "  report joins those artifacts into one self-contained HTML file:\n"
       "    autoem_cli train-eval ... --resources --save-trajectory t.csv\n"
-      "        --metrics-out m.jsonl --metrics-format=jsonl\n"
-      "        --metrics-flush-interval=1 --trace-out tr.json\n"
-      "        --profile-out p.folded\n"
-      "    autoem_cli report --trajectory t.csv --metrics m.jsonl\n"
-      "        --trace tr.json --profile p.folded --out report.html\n");
+      "        --metrics-out m.json --trace-out tr.json\n"
+      "    autoem_cli report --trajectory t.csv --metrics m.json\n"
+      "        --trace tr.json --out report.html\n"
+      "  For function-level CPU profiles use an external profiler\n"
+      "  (gprof, perf).\n");
 }
 
 }  // namespace
@@ -490,7 +468,7 @@ int main(int argc, char** argv) {
   }
   Flags flags = Flags::Parse(argc, argv, 2);
   // Name the main thread before the session starts tracing so the trace's
-  // thread_name metadata covers it alongside worker-N / flusher.
+  // thread_name metadata covers it alongside worker-N.
   obs::SetCurrentThreadName("main");
   // Top-level session: owns the trace for the whole invocation (the nested
   // sessions inside the library piggyback on it) and writes trace/metrics

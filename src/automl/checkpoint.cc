@@ -94,8 +94,6 @@ void WriteEvalRecord(io::Writer* w, const EvalRecord& record) {
   w->F64(record.resources.wall_seconds);
   w->I64(record.resources.peak_rss_delta_kb);
   w->U64(record.resources.allocs);
-  // Profile attribution (0 when no profile was running).
-  w->U64(record.profile_samples);
   // Pool wait/run split (0 when resource probes were off).
   w->U64(record.pool_wait_micros);
   w->U64(record.pool_busy_micros);
@@ -123,7 +121,6 @@ Status ReadEvalRecord(io::Reader* r, EvalRecord* record) {
   AUTOEM_RETURN_IF_ERROR(r->F64(&record->resources.wall_seconds));
   AUTOEM_RETURN_IF_ERROR(r->I64(&record->resources.peak_rss_delta_kb));
   AUTOEM_RETURN_IF_ERROR(r->U64(&record->resources.allocs));
-  AUTOEM_RETURN_IF_ERROR(r->U64(&record->profile_samples));
   AUTOEM_RETURN_IF_ERROR(r->U64(&record->pool_wait_micros));
   AUTOEM_RETURN_IF_ERROR(r->U64(&record->pool_busy_micros));
   return Status::OK();

@@ -28,7 +28,7 @@ inline constexpr char kCheckpointMagic[4] = {'A', 'E', 'M', 'K'};
 /// The only version read or written. Checkpoints are short-lived crash-resume
 /// files, so a format change bumps it and older files are rejected, as for
 /// the AEMM model container (DESIGN.md §9).
-inline constexpr uint32_t kCheckpointFormatVersion = 4;
+inline constexpr uint32_t kCheckpointFormatVersion = 5;
 
 /// Payload discriminator inside the container, so a search never resumes
 /// from an active-learning checkpoint (or vice versa).

@@ -235,27 +235,25 @@ uint64_t ConfigurationHash(const Configuration& config) {
 }
 
 std::string SerializeTrajectoryCsv(const std::vector<EvalRecord>& trajectory) {
-  // Resource columns (obs v2) ride after config_hash, profile_samples
-  // (obs v3) after those, and the pool wait/run split (obs v4) after that,
-  // so column indices of the original seven fields stay stable for
-  // downstream tooling. `failure` stays last.
+  // Resource columns (obs v2) ride after config_hash and the pool wait/run
+  // split (obs v4) after those, so column indices of the original seven
+  // fields stay stable for downstream tooling. `failure` stays last.
   std::string out =
       "trial,elapsed_seconds,fit_seconds,valid_f1,test_f1,best_f1_so_far,"
-      "config_hash,cpu_seconds,peak_rss_delta_kb,allocs,profile_samples,"
+      "config_hash,cpu_seconds,peak_rss_delta_kb,allocs,"
       "pool_wait_micros,pool_busy_micros,failure\n";
   double best = 0.0;
   for (const EvalRecord& r : trajectory) {
     best = std::max(best, r.valid_f1);
     out += StrFormat(
         "%d,%.6f,%.6f,%.17g,%.17g,%.17g,%016llx,%.6f,%lld,%llu,%llu,%llu,"
-        "%llu,%s\n",
+        "%s\n",
         r.trial, r.elapsed_seconds, r.fit_seconds, r.valid_f1,
         r.test_f1, best,
         static_cast<unsigned long long>(ConfigurationHash(r.config)),
         r.resources.cpu_seconds,
         static_cast<long long>(r.resources.peak_rss_delta_kb),
         static_cast<unsigned long long>(r.resources.allocs),
-        static_cast<unsigned long long>(r.profile_samples),
         static_cast<unsigned long long>(r.pool_wait_micros),
         static_cast<unsigned long long>(r.pool_busy_micros),
         TrialFailureName(r.failure));

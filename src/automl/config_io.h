@@ -50,13 +50,14 @@ Status ReadConfigurationBinary(io::Reader* r, Configuration* config);
 /// Serializes a search trajectory (AutoMlEmResult::trajectory) as CSV with
 /// header
 ///   trial,elapsed_seconds,fit_seconds,valid_f1,test_f1,best_f1_so_far,
-///   config_hash,cpu_seconds,peak_rss_delta_kb,allocs,failure
+///   config_hash,cpu_seconds,peak_rss_delta_kb,allocs,pool_wait_micros,
+///   pool_busy_micros,failure
 /// — one row per evaluation, the complete Fig. 3-style tuning curve,
 /// reproducible without re-running the search. `config_hash` is
-/// ConfigurationHash in hex. The trailing four columns are per-trial
-/// resource attribution (zeros unless the run was profiled with
-/// `--resources`) and the TrialFailureName; they ride after config_hash so
-/// the original column indices stay stable.
+/// ConfigurationHash in hex. The columns after it are per-trial resource
+/// attribution (zeros unless the run was profiled with `--resources`) and
+/// the TrialFailureName; they ride after config_hash so the original column
+/// indices stay stable.
 std::string SerializeTrajectoryCsv(const std::vector<EvalRecord>& trajectory);
 Status SaveTrajectory(const std::vector<EvalRecord>& trajectory,
                       const std::string& path);

@@ -97,11 +97,8 @@ EvalRecord HoldoutEvaluator::Evaluate(const Configuration& config) {
       obs::MetricsRegistry::Global().GetHistogram("automl.trial_cpu_ms");
   obs::Span span("automl.pipeline_eval");
   obs::ResourceProbe probe;
-  uint64_t profile_samples_before =
-      obs::ProfilingEnabled() ? obs::ProfileSampleCount() : 0;
   // Pool wait/run attribution (obs v4): trials run serially, so deltas of
-  // the process-wide pool counters belong to this trial, same as the
-  // profile-sample delta below.
+  // the process-wide pool counters belong to this trial.
   static obs::Counter* pool_wait =
       obs::MetricsRegistry::Global().GetCounter("threadpool.wait_micros");
   static obs::Counter* pool_busy =
@@ -145,11 +142,6 @@ EvalRecord HoldoutEvaluator::Evaluate(const Configuration& config) {
   record.fit_seconds = timer.ElapsedSeconds();
   record.elapsed_seconds = lifetime_.ElapsedSeconds() + elapsed_offset_;
   record.resources = probe.Take();
-  if (obs::ProfilingEnabled()) {
-    uint64_t after = obs::ProfileSampleCount();
-    record.profile_samples =
-        after > profile_samples_before ? after - profile_samples_before : 0;
-  }
   if (pool_split_sampled) {
     uint64_t wait_after = pool_wait->Total();
     uint64_t busy_after = pool_busy->Total();
@@ -174,9 +166,6 @@ EvalRecord HoldoutEvaluator::Evaluate(const Configuration& config) {
       span.Arg("cpu_ms", record.resources.cpu_seconds * 1000.0);
       span.Arg("rss_delta_kb", record.resources.peak_rss_delta_kb);
       span.Arg("allocs", record.resources.allocs);
-    }
-    if (record.profile_samples > 0) {
-      span.Arg("profile_samples", record.profile_samples);
     }
     if (pool_split_sampled) {
       span.Arg("pool_wait_us", record.pool_wait_micros);

@@ -56,21 +56,13 @@ struct EvalRecord {
   /// probes cannot change results. Flows into trajectory CSVs and v2
   /// checkpoints.
   TrialResources resources;
-  /// CPU-profile samples captured while this trial ran (obs v3): the delta
-  /// of obs::ProfileSampleCount() across the evaluation. Zero when no
-  /// profile was being taken. Trials run serially, so the process-wide
-  /// sample count attributes cleanly; with worker threads registered, a
-  /// trial's samples include the CPU its pool tasks burned. Joins the
-  /// trajectory CSV (`profile_samples`) and v3 checkpoints.
-  uint64_t profile_samples = 0;
   /// Thread-pool wait/run split for this trial (obs v4): deltas of the
   /// process-wide `threadpool.wait_micros` / `threadpool.busy_micros`
   /// counters across the evaluation. Wait is summed enqueue→dequeue queue
   /// delay of the trial's pool tasks; busy is their summed execution wall
   /// time. Both zero when resource probes were off (trials run serially, so
-  /// the process-wide counters attribute cleanly, like profile_samples).
-  /// Joins the trajectory CSV (`pool_wait_micros`, `pool_busy_micros`) and
-  /// v4 checkpoints.
+  /// the process-wide counters attribute cleanly). Joins the trajectory CSV
+  /// (`pool_wait_micros`, `pool_busy_micros`) and checkpoints.
   uint64_t pool_wait_micros = 0;
   uint64_t pool_busy_micros = 0;
 };

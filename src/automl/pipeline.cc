@@ -7,6 +7,7 @@
 #include "fault/failpoint.h"
 #include "io/serialize.h"
 #include "ml/models/model_registry.h"
+#include "obs/trace.h"
 #include "preprocess/balancing.h"
 #include "preprocess/feature_agglomeration.h"
 #include "preprocess/feature_selection.h"
@@ -205,41 +206,48 @@ Status EmPipeline::Fit(const Dataset& train) {
   if (train.size() == 0) return Status::InvalidArgument("empty training set");
   AUTOEM_FAILPOINT("pipeline.fit");
 
-  AUTOEM_RETURN_IF_ERROR(imputer_->Fit(train.X, train.y));
-  Matrix X = imputer_->Apply(train.X);
-  active_feature_names_ = train.feature_names;
-
-  // Cancellation is checked at every stage boundary; the classifier fit
-  // below additionally polls the token internally (forest ensembles).
-  AUTOEM_RETURN_IF_ERROR(cancel_.Check("pipeline.impute"));
-  if (scaler_) {
-    AUTOEM_RETURN_IF_ERROR(scaler_->Fit(X, train.y));
-    X = scaler_->Apply(X);
-    AUTOEM_RETURN_IF_ERROR(cancel_.Check("pipeline.rescale"));
-  }
-  if (preprocessor_) {
-    AUTOEM_RETURN_IF_ERROR(preprocessor_->Fit(X, train.y));
-    X = preprocessor_->Apply(X);
-    active_feature_names_ = preprocessor_->OutputNames(active_feature_names_);
-    AUTOEM_RETURN_IF_ERROR(cancel_.Check("pipeline.preprocess"));
-  }
-
+  Matrix X;
   std::vector<int> y = train.y;
   std::vector<double> weights;
-  if (balancing_ == "weighting") {
-    auto w = BalancedClassWeights(y);
-    // Single-class training data: fall back to uniform weights instead of
-    // failing the whole pipeline.
-    if (w.ok()) weights = std::move(*w);
-  } else if (balancing_ == "oversample") {
-    Rng rng(seed_);
-    auto idx = RandomOversampleIndices(y, &rng);
-    if (idx.ok()) {
-      X = X.SelectRows(*idx);
-      std::vector<int> new_y;
-      new_y.reserve(idx->size());
-      for (size_t i : *idx) new_y.push_back(y[i]);
-      y = std::move(new_y);
+  {
+    // Impute → rescale → preprocess → balance as one span, closed before
+    // the classifier fit, so preprocessing is not self time of the caller.
+    obs::Span span("pipeline.preprocess");
+    AUTOEM_RETURN_IF_ERROR(imputer_->Fit(train.X, train.y));
+    X = imputer_->Apply(train.X);
+    active_feature_names_ = train.feature_names;
+
+    // Cancellation is checked at every stage boundary; the classifier fit
+    // below additionally polls the token internally (forest ensembles).
+    AUTOEM_RETURN_IF_ERROR(cancel_.Check("pipeline.impute"));
+    if (scaler_) {
+      AUTOEM_RETURN_IF_ERROR(scaler_->Fit(X, train.y));
+      X = scaler_->Apply(X);
+      AUTOEM_RETURN_IF_ERROR(cancel_.Check("pipeline.rescale"));
+    }
+    if (preprocessor_) {
+      AUTOEM_RETURN_IF_ERROR(preprocessor_->Fit(X, train.y));
+      X = preprocessor_->Apply(X);
+      active_feature_names_ =
+          preprocessor_->OutputNames(active_feature_names_);
+      AUTOEM_RETURN_IF_ERROR(cancel_.Check("pipeline.preprocess"));
+    }
+
+    if (balancing_ == "weighting") {
+      auto w = BalancedClassWeights(y);
+      // Single-class training data: fall back to uniform weights instead
+      // of failing the whole pipeline.
+      if (w.ok()) weights = std::move(*w);
+    } else if (balancing_ == "oversample") {
+      Rng rng(seed_);
+      auto idx = RandomOversampleIndices(y, &rng);
+      if (idx.ok()) {
+        X = X.SelectRows(*idx);
+        std::vector<int> new_y;
+        new_y.reserve(idx->size());
+        for (size_t i : *idx) new_y.push_back(y[i]);
+        y = std::move(new_y);
+      }
     }
   }
 
@@ -247,6 +255,7 @@ Status EmPipeline::Fit(const Dataset& train) {
 }
 
 Matrix EmPipeline::RunTransforms(const Matrix& X_in) const {
+  obs::Span span("pipeline.transform");
   Matrix X = imputer_->Apply(X_in);
   if (scaler_) X = scaler_->Apply(X);
   if (preprocessor_) X = preprocessor_->Apply(X);

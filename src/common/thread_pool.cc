@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <string>
 
-#include "obs/profiler.h"
 #include "obs/resource.h"
 #include "obs/trace.h"
 
@@ -12,8 +11,6 @@ namespace autoem {
 ThreadPool::ThreadPool(size_t num_threads)
     : workers_gauge_(
           obs::MetricsRegistry::Global().GetGauge("threadpool.workers")),
-      queue_depth_gauge_(
-          obs::MetricsRegistry::Global().GetGauge("threadpool.queue_depth")),
       tasks_executed_(obs::MetricsRegistry::Global().GetCounter(
           "threadpool.tasks_executed")),
       busy_micros_(obs::MetricsRegistry::Global().GetCounter(
@@ -102,9 +99,6 @@ void ThreadPool::Submit(std::function<void()> task) {
     std::unique_lock<std::mutex> lock(mu_);
     tasks_.push(std::move(pending));
     ++in_flight_;
-    if (obs::ResourceProbesEnabled()) {
-      queue_depth_gauge_->Set(static_cast<double>(tasks_.size()));
-    }
   }
   task_available_.notify_one();
 }
@@ -116,12 +110,8 @@ void ThreadPool::Wait() {
 }
 
 void ThreadPool::WorkerLoop(size_t worker_index) {
-  // Workers join the profiler's thread registry for their lifetime, so
-  // whenever a CPU profile is running their stacks (feature-gen chunks,
-  // tree fits) are sampled alongside the main thread's. They also register
-  // a stable name so traces render "worker-N" instead of a bare tid.
+  // A stable name so traces render "worker-N" instead of a bare tid.
   obs::SetCurrentThreadName("worker-" + std::to_string(worker_index));
-  obs::ProfiledThreadScope profiled;
   for (;;) {
     PendingTask task;
     {
@@ -134,9 +124,6 @@ void ThreadPool::WorkerLoop(size_t worker_index) {
       }
       task = std::move(tasks_.front());
       tasks_.pop();
-      if (obs::ResourceProbesEnabled()) {
-        queue_depth_gauge_->Set(static_cast<double>(tasks_.size()));
-      }
     }
     RunTask(task);
     {

@@ -75,7 +75,6 @@ class ThreadPool {
   // Pool telemetry (obs v2): handles are resolved once at construction, the
   // hot-path updates are relaxed atomics gated on the resource-probe switch.
   //   threadpool.workers        gauge    worker count for this pool
-  //   threadpool.queue_depth    gauge    queue length, sampled Submit/drain
   //   threadpool.tasks_executed counter  tasks completed (incl. inline mode)
   //   threadpool.busy_micros    counter  summed task wall time on workers —
   //                                      utilization = rate / (workers * 1e6)
@@ -86,7 +85,6 @@ class ThreadPool {
   //                                      busy_micros
   //   threadpool.queue_delay_ms histogram  per-task queue delay distribution
   obs::Gauge* workers_gauge_;
-  obs::Gauge* queue_depth_gauge_;
   obs::Counter* tasks_executed_;
   obs::Counter* busy_micros_;
   obs::Counter* wait_micros_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/string_util.h"
+#include "obs/trace.h"
 #include "text/interner.h"
 #include "text/tokenizer.h"
 
@@ -109,6 +110,7 @@ AttributeEquivalenceBlocker::AttributeEquivalenceBlocker(std::string attribute)
 
 Result<std::vector<RecordPair>> AttributeEquivalenceBlocker::Block(
     const Table& left, const Table& right) const {
+  obs::Span span("em.block");
   return OverlapJoin(left, right, attribute_, /*whole_key=*/true,
                      /*min_shared=*/1);
 }
@@ -118,6 +120,7 @@ QGramBlocker::QGramBlocker(std::string attribute, size_t min_shared)
 
 Result<std::vector<RecordPair>> QGramBlocker::Block(
     const Table& left, const Table& right) const {
+  obs::Span span("em.block");
   return OverlapJoin(left, right, attribute_, /*whole_key=*/false,
                      min_shared_);
 }
@@ -128,6 +131,7 @@ SortedNeighborhoodBlocker::SortedNeighborhoodBlocker(std::string attribute,
 
 Result<std::vector<RecordPair>> SortedNeighborhoodBlocker::Block(
     const Table& left, const Table& right) const {
+  obs::Span span("em.block");
   if (window_ == 0) return Status::InvalidArgument("window must be positive");
   auto left_idx = FindAttribute(left, attribute_);
   if (!left_idx.ok()) return left_idx.status();

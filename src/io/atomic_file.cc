@@ -61,11 +61,6 @@ Status FsyncPath(const std::string& path, bool directory) {
 }  // namespace
 
 Status AtomicWriteFile(const std::string& path, std::string_view bytes) {
-  return AtomicWriteFile(path, bytes, AtomicWriteOptions{});
-}
-
-Status AtomicWriteFile(const std::string& path, std::string_view bytes,
-                       const AtomicWriteOptions& options) {
   AUTOEM_FAILPOINT("io.atomic_write");
   if (path.empty()) {
     return Status::InvalidArgument("AtomicWriteFile: empty path");
@@ -108,7 +103,7 @@ Status AtomicWriteFile(const std::string& path, std::string_view bytes,
     data += written;
     remaining -= static_cast<size_t>(written);
   }
-  if (options.durable && ::fsync(fd) != 0) {
+  if (::fsync(fd) != 0) {
     ::close(fd);
     ::unlink(tmp.c_str());
     return Status::IOError(ErrnoMessage("fsync", tmp));
@@ -122,7 +117,6 @@ Status AtomicWriteFile(const std::string& path, std::string_view bytes,
     ::unlink(tmp.c_str());
     return st;
   }
-  if (!options.durable) return Status::OK();
   // Make the rename itself durable.
   return FsyncPath(DirOf(path), /*directory=*/true);
 #endif

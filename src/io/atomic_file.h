@@ -16,24 +16,11 @@ namespace io {
 /// After a crash at any instant, `path` holds either its previous contents
 /// or the complete new contents — never a torn mix. Every artifact writer in
 /// the library (SaveModel, SaveConfiguration, SaveTrajectory, search
-/// checkpoints) routes through this helper.
+/// checkpoints, the ObsSession trace and metrics files) routes through this
+/// helper.
 ///
 /// On error the temporary file is removed; `path` is untouched.
 Status AtomicWriteFile(const std::string& path, std::string_view bytes);
-
-struct AtomicWriteOptions {
-  /// When false, skip the data/directory fsyncs: the rename is still atomic
-  /// (readers never observe a torn file) but a power loss may lose the
-  /// latest version. The right trade for high-frequency telemetry
-  /// (MetricsFlusher) where each flush supersedes the last; keep the
-  /// default for models and checkpoints.
-  bool durable = true;
-};
-
-/// As above, with control over durability. `AtomicWriteFile(p, b)` is
-/// exactly `AtomicWriteFile(p, b, {.durable = true})`.
-Status AtomicWriteFile(const std::string& path, std::string_view bytes,
-                       const AtomicWriteOptions& options);
 
 /// Reads the entire file at `path` into `out`. NotFound when the file does
 /// not exist; IOError on read failures.

@@ -1,7 +1,6 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "obs/json.h"
 
@@ -93,159 +92,57 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name,
   return slot.get();
 }
 
-void MetricsRegistry::AppendJsonBody(std::string* out, bool pretty) const {
-  const char* kv_indent = pretty ? "    " : "";
-  const char* nl = pretty ? "\n" : "";
-
-  *out += "\"counters\": {";
-  bool first = true;
-  for (const auto& [name, counter] : counters_) {
-    *out += first ? nl : (pretty ? ",\n" : ",");
-    first = false;
-    *out += kv_indent;
-    *out += JsonQuote(name) + ": " + std::to_string(counter->Total());
-  }
-  *out += first ? "}," : (pretty ? "\n  },\n" : "},");
-  if (pretty && first) *out += "\n";
-
-  *out += pretty ? "  \"gauges\": {" : "\"gauges\": {";
-  first = true;
-  for (const auto& [name, gauge] : gauges_) {
-    *out += first ? nl : (pretty ? ",\n" : ",");
-    first = false;
-    *out += kv_indent;
-    *out += JsonQuote(name) + ": " + JsonNumber(gauge->Value());
-  }
-  *out += first ? "}," : (pretty ? "\n  },\n" : "},");
-  if (pretty && first) *out += "\n";
-
-  *out += pretty ? "  \"histograms\": {" : "\"histograms\": {";
-  first = true;
-  for (const auto& [name, histogram] : histograms_) {
-    Histogram::Snapshot snap = histogram->Snap();
-    *out += first ? nl : (pretty ? ",\n" : ",");
-    first = false;
-    *out += kv_indent;
-    *out += JsonQuote(name) + ": {\"count\": " + std::to_string(snap.count) +
-            ", \"sum\": " + JsonNumber(snap.sum) + ", \"buckets\": [";
-    for (size_t b = 0; b < snap.counts.size(); ++b) {
-      if (b > 0) *out += ", ";
-      *out += "{\"le\": ";
-      *out += b < snap.bounds.size() ? JsonNumber(snap.bounds[b]) : "\"inf\"";
-      *out += ", \"count\": " + std::to_string(snap.counts[b]) + "}";
-    }
-    *out += "]}";
-  }
-  *out += first ? "}" : (pretty ? "\n  }\n" : "}");
-  if (pretty && first) *out += "\n";
-}
-
-std::string MetricsRegistry::SnapshotJson() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string out = "{\n  ";
-  AppendJsonBody(&out, /*pretty=*/true);
-  out += "}\n";
-  return out;
-}
-
-std::string MetricsRegistry::SnapshotJsonLine(double ts_s) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string out = "{\"ts_s\": " + JsonNumber(ts_s) + ", ";
-  AppendJsonBody(&out, /*pretty=*/false);
-  out += "}";
-  return out;
-}
-
 namespace {
 
-/// OpenMetrics metric names are [a-zA-Z_:][a-zA-Z0-9_:]*; our dot-separated
-/// registry paths map dots (and anything else outside the charset) to '_'.
-std::string OpenMetricsName(const std::string& name) {
-  std::string out;
-  out.reserve(name.size());
-  for (char c : name) {
-    bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-              (c >= '0' && c <= '9') || c == '_' || c == ':';
-    out += ok ? c : '_';
+// One `  "family": {...}` member of the snapshot: entries one per line at a
+// four-space indent, or `{}` when the family is empty.
+void AppendFamily(const char* family, const std::vector<std::string>& entries,
+                  bool last, std::string* out) {
+  *out += "  \"";
+  *out += family;
+  *out += "\": {";
+  for (size_t i = 0; i < entries.size(); ++i) {
+    *out += i == 0 ? "\n    " : ",\n    ";
+    *out += entries[i];
   }
-  if (out.empty() || (out[0] >= '0' && out[0] <= '9')) out.insert(0, "_");
-  return out;
-}
-
-/// Label-value escaping per the OpenMetrics ABNF: backslash, double quote,
-/// and line feed.
-std::string OpenMetricsLabelValue(const std::string& value) {
-  std::string out;
-  out.reserve(value.size());
-  for (char c : value) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '"':
-        out += "\\\"";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
-
-std::string OpenMetricsNumber(double v) {
-  if (v != v) return "NaN";
-  if (v > 1.7e308) return "+Inf";
-  if (v < -1.7e308) return "-Inf";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+  if (!entries.empty()) *out += "\n  ";
+  *out += last ? "}\n" : "},\n";
 }
 
 }  // namespace
 
-std::string MetricsRegistry::SnapshotOpenMetrics() const {
+std::string MetricsRegistry::SnapshotJson() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::string out;
+  std::vector<std::string> entries;
+  std::string out = "{\n";
   for (const auto& [name, counter] : counters_) {
-    std::string om = OpenMetricsName(name);
-    out += "# TYPE " + om + " counter\n";
-    out += om + "_total " + std::to_string(counter->Total()) + "\n";
+    entries.push_back(JsonQuote(name) + ": " +
+                      std::to_string(counter->Total()));
   }
+  AppendFamily("counters", entries, /*last=*/false, &out);
+  entries.clear();
   for (const auto& [name, gauge] : gauges_) {
-    std::string om = OpenMetricsName(name);
-    out += "# TYPE " + om + " gauge\n";
-    out += om + " " + OpenMetricsNumber(gauge->Value()) + "\n";
+    entries.push_back(JsonQuote(name) + ": " + JsonNumber(gauge->Value()));
   }
+  AppendFamily("gauges", entries, /*last=*/false, &out);
+  entries.clear();
   for (const auto& [name, histogram] : histograms_) {
     Histogram::Snapshot snap = histogram->Snap();
-    std::string om = OpenMetricsName(name);
-    out += "# TYPE " + om + " histogram\n";
-    uint64_t cumulative = 0;
+    std::string entry = JsonQuote(name) +
+                        ": {\"count\": " + std::to_string(snap.count) +
+                        ", \"sum\": " + JsonNumber(snap.sum) +
+                        ", \"buckets\": [";
     for (size_t b = 0; b < snap.counts.size(); ++b) {
-      cumulative += snap.counts[b];
-      std::string le = b < snap.bounds.size()
-                           ? OpenMetricsNumber(snap.bounds[b])
-                           : "+Inf";
-      out += om + "_bucket{le=\"" + OpenMetricsLabelValue(le) + "\"} " +
-             std::to_string(cumulative) + "\n";
+      if (b > 0) entry += ", ";
+      entry += "{\"le\": ";
+      entry += b < snap.bounds.size() ? JsonNumber(snap.bounds[b]) : "\"inf\"";
+      entry += ", \"count\": " + std::to_string(snap.counts[b]) + "}";
     }
-    out += om + "_sum " + OpenMetricsNumber(snap.sum) + "\n";
-    out += om + "_count " + std::to_string(snap.count) + "\n";
+    entries.push_back(entry + "]}");
   }
-  out += "# EOF\n";
+  AppendFamily("histograms", entries, /*last=*/true, &out);
+  out += "}\n";
   return out;
-}
-
-bool MetricsRegistry::WriteJson(const std::string& path) const {
-  std::string json = SnapshotJson();
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  bool ok = std::fclose(f) == 0 && written == json.size();
-  return ok;
 }
 
 }  // namespace obs

@@ -122,31 +122,12 @@ class MetricsRegistry {
 
   /// Cumulative snapshot of every registered metric as a JSON object:
   ///   {"counters":{...},"gauges":{...},"histograms":{...}}
-  /// Keys are sorted, so the layout is stable run to run.
+  /// Keys are sorted, so the layout is stable run to run. ObsSession
+  /// writes it to `--metrics-out` through io::AtomicWriteFile.
   std::string SnapshotJson() const;
-
-  /// The same snapshot as a single compact JSON line (no internal
-  /// newlines), prefixed with a `ts_s` timestamp key — one record of the
-  /// append-only JSONL time series the MetricsFlusher emits:
-  ///   {"ts_s":1.25,"counters":{...},"gauges":{...},"histograms":{...}}
-  std::string SnapshotJsonLine(double ts_s) const;
-
-  /// The snapshot in OpenMetrics text exposition format: `# TYPE` comment
-  /// per family, `_total` counters, cumulative `_bucket{le="..."}` rows
-  /// ending in `le="+Inf"`, `_sum`/`_count`, and a final `# EOF`. Metric
-  /// names are sanitized to the OpenMetrics charset (dots become
-  /// underscores).
-  std::string SnapshotOpenMetrics() const;
-
-  /// Writes SnapshotJson() to `path`; false on I/O failure.
-  bool WriteJson(const std::string& path) const;
 
  private:
   MetricsRegistry() = default;
-
-  /// Shared body emitter for SnapshotJson / SnapshotJsonLine. Caller holds
-  /// mu_.
-  void AppendJsonBody(std::string* out, bool pretty) const;
 
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;

@@ -83,49 +83,15 @@ std::string TrajectoryToJson(const std::string& csv) {
   return out;
 }
 
-bool IsJsonObject(const std::string& text) {
-  return !text.empty() && text.front() == '{' && ValidateJson(text).ok();
-}
-
-/// Classifies the metrics file and emits the three payload fields. Formats:
-///  * jsonl  — every nonempty line is one JSON object -> series + final;
-///  * json   — one pretty object (the default end-of-run snapshot) -> final;
-///  * openmetrics — anything else -> raw text, parsed client-side.
-void AppendMetricsJson(const std::string& metrics_text, std::string* out) {
+/// The metrics file is the one pretty JSON object that `--metrics-out`
+/// writes (MetricsRegistry::SnapshotJson). Anything else is not embedded.
+std::string MetricsFinalJson(const std::string& metrics_text) {
   std::string trimmed = Trimmed(metrics_text);
-  if (trimmed.empty()) {
-    *out += "\"metrics_series\":null,\"metrics_final\":null,"
-            "\"metrics_raw\":null";
-    return;
+  if (trimmed.empty() || trimmed.front() != '{' ||
+      !ValidateJson(trimmed).ok()) {
+    return "null";
   }
-  std::vector<std::string> lines;
-  bool all_objects = true;
-  for (const std::string& line : SplitLines(trimmed)) {
-    std::string t = Trimmed(line);
-    if (t.empty()) continue;
-    lines.push_back(t);
-    if (!IsJsonObject(t)) all_objects = false;
-  }
-  if (all_objects && !lines.empty()) {
-    // JSONL time series (a single snapshot line is a series of one).
-    *out += "\"metrics_series\":[";
-    for (size_t i = 0; i < lines.size(); ++i) {
-      if (i > 0) *out += ",";
-      *out += "\n";
-      *out += lines[i];
-    }
-    *out += "\n],\"metrics_final\":";
-    *out += lines.back();
-    *out += ",\"metrics_raw\":null";
-  } else if (IsJsonObject(trimmed)) {
-    *out += "\"metrics_series\":null,\"metrics_final\":";
-    *out += trimmed;
-    *out += ",\"metrics_raw\":null";
-  } else {
-    *out += "\"metrics_series\":null,\"metrics_final\":null,"
-            "\"metrics_raw\":";
-    *out += JsonQuote(trimmed);
-  }
+  return trimmed;
 }
 
 /// The top span names of the trace by total duration: the analysis's blame
@@ -230,15 +196,9 @@ tr.failed td { color: #a32020; background: #fdf3f3; }
   </div></section>
   <section><h2>Tuning curve</h2><div id="tuningwrap"><canvas id="tuning" height="260"></canvas></div></section>
   <section><h2>Per-trial resources</h2><div id="reswrap"><canvas id="resources" height="260"></canvas></div></section>
-  <section><h2>Thread pool</h2><div id="poolwrap"><canvas id="pool" height="260"></canvas></div></section>
   <section><h2>Failures &amp; quarantine</h2><div id="failures"></div></section>
   <section><h2>Cache</h2><div class="cards" id="cache"></div></section>
   <section><h2>Top spans (trace)</h2><div id="spans"></div></section>
-  <section><h2>CPU flamegraph</h2><div id="flamewrap">
-    <div class="empty" id="flamestatus">hover a frame for details</div>
-    <canvas id="flame" height="0"></canvas>
-  </div></section>
-  <section><h2>Top functions (CPU profile)</h2><div class="tablewrap" id="hotfuncs"></div></section>
   <section><h2>Trials</h2><div class="tablewrap" id="trials"></div></section>
 </main>
 <script id="payload" type="application/json">__AUTOEM_PAYLOAD__</script>
@@ -251,28 +211,12 @@ const fmt = (v, d) => (v === null || v === undefined || v === "" || isNaN(v))
 const esc = s => String(s).replace(/&/g, "&amp;").replace(/</g, "&lt;")
     .replace(/>/g, "&gt;");
 
-// ---- metrics access (series / final / openmetrics fallback) -------------
-function parseOpenMetrics(text) {
-  const counters = {}, gauges = {};
-  for (const line of text.split("\n")) {
-    if (!line || line[0] === "#") continue;
-    const sp = line.lastIndexOf(" ");
-    if (sp <= 0) continue;
-    const name = line.slice(0, sp), value = Number(line.slice(sp + 1));
-    if (name.includes("{")) continue;
-    if (name.endsWith("_total")) counters[name.slice(0, -6)] = value;
-    else gauges[name] = value;
-  }
-  return { counters, gauges, histograms: {} };
-}
-let finalMetrics = P.metrics_final;
-if (!finalMetrics && P.metrics_raw) finalMetrics = parseOpenMetrics(P.metrics_raw);
+// ---- metrics access (the --metrics-out snapshot) ------------------------
+const finalMetrics = P.metrics_final;
 const counter = n => {
   if (!finalMetrics || !finalMetrics.counters) return null;
   const c = finalMetrics.counters;
-  if (n in c) return c[n];
-  const om = n.replace(/[^A-Za-z0-9_:]/g, "_");
-  return om in c ? c[om] : null;
+  return n in c ? c[n] : null;
 };
 
 // ---- summary cards ------------------------------------------------------
@@ -447,53 +391,6 @@ function axes(c, x0, x1, y0, y1, yfmt) {
   });
 })();
 
-// ---- thread pool timeline ----------------------------------------------
-(function () {
-  const series = P.metrics_series;
-  const pts = [];
-  if (series) {
-    for (const s of series) {
-      if (!s.gauges) continue;
-      const q = s.gauges["threadpool.queue_depth"];
-      const busy = s.counters ? s.counters["threadpool.tasks_executed"] : undefined;
-      if (q !== undefined || busy !== undefined) {
-        pts.push({ ts: +s.ts_s || 0, q: +q || 0, tasks: +busy || 0 });
-      }
-    }
-  }
-  if (pts.length < 2) {
-    document.getElementById("poolwrap").innerHTML =
-      '<div class="empty">No thread-pool time series — rerun with ' +
-      '--metrics-flush-interval and --metrics-format=jsonl.</div>';
-    return;
-  }
-  const c = setup("pool");
-  const qmax = Math.max(...pts.map(p => p.q), 1);
-  axes(c, pts[0].ts, pts[pts.length - 1].ts, 0, qmax, v => fmt(v, 0));
-  c.g.strokeStyle = "#20304c"; c.g.lineWidth = 1.5; c.g.beginPath();
-  pts.forEach((p, i) => {
-    const x = c.px(p.ts), y = c.py(p.q);
-    i ? c.g.lineTo(x, y) : c.g.moveTo(x, y);
-  });
-  c.g.stroke();
-  // task throughput (derivative of the cumulative counter), scaled to fit
-  const rates = [];
-  for (let i = 1; i < pts.length; i++) {
-    const dt = pts[i].ts - pts[i - 1].ts;
-    rates.push(dt > 0 ? (pts[i].tasks - pts[i - 1].tasks) / dt : 0);
-  }
-  const rmax = Math.max(...rates, 1);
-  c.g.strokeStyle = "#5e8f6e"; c.g.beginPath();
-  rates.forEach((r, i) => {
-    const x = c.px(pts[i + 1].ts), y = c.py(r / rmax * qmax);
-    i ? c.g.lineTo(x, y) : c.g.moveTo(x, y);
-  });
-  c.g.stroke();
-  c.g.fillStyle = "#20304c"; c.g.fillText("queue depth", c.l + 8, c.t + 12);
-  c.g.fillStyle = "#5e8f6e";
-  c.g.fillText("tasks/s (scaled, peak " + fmt(rmax, 0) + ")", c.l + 8, c.t + 26);
-})();
-
 // ---- failures -----------------------------------------------------------
 (function () {
   const el = document.getElementById("failures");
@@ -542,112 +439,6 @@ function axes(c, x0, x1, y0, y1, yfmt) {
     `<p class="empty">${P.trace.events} events total.</p>`;
 })();
 
-// ---- CPU flamegraph + top functions -------------------------------------
-(function () {
-  const wrap = document.getElementById("flamewrap");
-  const hot = document.getElementById("hotfuncs");
-  if (!P.profile) {
-    wrap.innerHTML =
-      '<div class="empty">No CPU profile — rerun with --profile-out.</div>';
-    hot.innerHTML =
-      '<div class="empty">No CPU profile — rerun with --profile-out.</div>';
-    return;
-  }
-  // Parse collapsed-stack lines ("a;b;c 42") into a merge trie plus
-  // per-function self/total tallies.
-  const root = { name: "all", value: 0, children: {} };
-  const funcs = {};
-  for (const raw of P.profile.split("\n")) {
-    const line = raw.trim();
-    if (!line) continue;
-    const sp = line.lastIndexOf(" ");
-    if (sp <= 0) continue;
-    const count = Number(line.slice(sp + 1));
-    if (!count) continue;
-    const frames = line.slice(0, sp).split(";");
-    root.value += count;
-    let node = root;
-    const onStack = new Set();
-    for (let i = 0; i < frames.length; i++) {
-      const f = frames[i];
-      node = node.children[f] ||
-             (node.children[f] = { name: f, value: 0, children: {} });
-      node.value += count;
-      const rec = funcs[f] || (funcs[f] = { self: 0, total: 0 });
-      if (!onStack.has(f)) { rec.total += count; onStack.add(f); }
-      if (i === frames.length - 1) rec.self += count;
-    }
-  }
-  if (!root.value) {
-    wrap.innerHTML = '<div class="empty">Profile contained no samples.</div>';
-    hot.innerHTML = '<div class="empty">Profile contained no samples.</div>';
-    return;
-  }
-  // Lay the trie out into rows of rects (x/w in sample units).
-  const ROW = 17, rects = [];
-  let maxDepth = 0;
-  (function lay(node, depth, x) {
-    const kids = Object.values(node.children)
-        .sort((a, b) => b.value - a.value || (a.name < b.name ? -1 : 1));
-    for (const k of kids) {
-      rects.push({ x, w: k.value, d: depth, name: k.name });
-      if (depth > maxDepth) maxDepth = depth;
-      lay(k, depth + 1, x);
-      x += k.value;
-    }
-  })(root, 0, 0);
-  const cv = document.getElementById("flame");
-  const W = cv.clientWidth || 1000, H = (maxDepth + 1) * ROW;
-  const dpr = window.devicePixelRatio || 1;
-  cv.width = W * dpr; cv.height = H * dpr;
-  cv.style.height = H + "px";
-  const g = cv.getContext("2d");
-  g.scale(dpr, dpr);
-  const hue = s => {
-    let h = 0;
-    for (let i = 0; i < s.length; i++) h = (h * 31 + s.charCodeAt(i)) >>> 0;
-    return h % 50;
-  };
-  g.font = "11px ui-monospace, monospace";
-  g.textBaseline = "middle";
-  for (const r of rects) {
-    const x = r.x / root.value * W, w = r.w / root.value * W;
-    if (w < 0.3) continue;
-    const y = r.d * ROW;
-    g.fillStyle = `hsl(${10 + hue(r.name)},72%,${62 + (r.d % 3) * 4}%)`;
-    g.fillRect(x + 0.5, y + 1, Math.max(w - 1, 0.5), ROW - 2);
-    if (w > 30) {
-      g.fillStyle = "#3a2410";
-      g.save();
-      g.beginPath(); g.rect(x + 3, y, w - 6, ROW); g.clip();
-      g.fillText(r.name, x + 4, y + ROW / 2);
-      g.restore();
-    }
-  }
-  const status = document.getElementById("flamestatus");
-  cv.addEventListener("mousemove", ev => {
-    const box = cv.getBoundingClientRect();
-    const mx = (ev.clientX - box.left) / W * root.value;
-    const md = Math.floor((ev.clientY - box.top) / ROW);
-    const r = rects.find(r => r.d === md && mx >= r.x && mx < r.x + r.w);
-    status.textContent = r
-      ? `${r.name} — ${r.w} samples (${(100 * r.w / root.value).toFixed(1)}%)`
-      : "hover a frame for details";
-  });
-  // Top functions by self samples.
-  const rows = Object.entries(funcs)
-      .sort((a, b) => b[1].self - a[1].self || b[1].total - a[1].total)
-      .slice(0, 30);
-  let html = '<table><tr><th class="l">function</th><th>self</th>' +
-             "<th>self %</th><th>total</th><th>total %</th></tr>";
-  for (const [name, r] of rows) html +=
-    `<tr><td class="l mono">${esc(name)}</td><td>${r.self}</td>` +
-    `<td>${(100 * r.self / root.value).toFixed(1)}</td><td>${r.total}</td>` +
-    `<td>${(100 * r.total / root.value).toFixed(1)}</td></tr>`;
-  hot.innerHTML = html + "</table>" +
-    `<p class="empty">${root.value} samples total.</p>`;
-})();
-
 // ---- per-trial table ----------------------------------------------------
 (function () {
   const el = document.getElementById("trials");
@@ -683,8 +474,8 @@ std::string BuildRunReportHtml(const ReportInputs& inputs) {
   payload += TrajectoryToJson(inputs.trajectory_csv);
   payload += ",\"has_trajectory\":";
   payload += inputs.trajectory_csv.empty() ? "false" : "true";
-  payload += ",";
-  AppendMetricsJson(inputs.metrics_text, &payload);
+  payload += ",\"metrics_final\":";
+  payload += MetricsFinalJson(inputs.metrics_text);
   // Span summary and critical-path / blame analysis (obs v4), both from
   // one parse of the trace. null when there is no trace or it has no spans.
   auto analysis = AnalyzeTraceJson(inputs.trace_json);
@@ -692,9 +483,6 @@ std::string BuildRunReportHtml(const ReportInputs& inputs) {
   payload += analysis.ok() ? TraceSummaryJson(*analysis) : "null";
   payload += ",\"critical\":";
   payload += analysis.ok() ? AnalysisJson(*analysis) : "null";
-  payload += ",\"profile\":";
-  payload += inputs.profile_folded.empty() ? "null"
-                                           : JsonQuote(inputs.profile_folded);
   payload += "}";
   payload = ScriptSafe(payload);
 

@@ -12,19 +12,17 @@ namespace obs {
 struct ReportInputs {
   std::string title;           // heading; defaults to "AutoEM run report"
   std::string trajectory_csv;  // SerializeTrajectoryCsv output
-  std::string metrics_text;    // metrics file: json, jsonl, or openmetrics
+  std::string metrics_text;    // the --metrics-out JSON snapshot
   std::string trace_json;      // Chrome trace_event JSON (TraceJson output)
-  std::string profile_folded;  // collapsed-stack CPU profile (WriteProfile)
 };
 
-/// Joins trajectory + metrics time series + trace + CPU profile into one
-/// self-contained HTML file: tuning curve, per-trial table (score, config
-/// hash, CPU / wall / RSS, failure reason), failure summary, thread-pool
-/// utilization timeline, cache hit-rate stats, a "where the time went"
-/// section (critical-path lane + ranked self/wait/child blame table,
-/// computed from the trace via obs/critical_path.h), and — when a
-/// collapsed-stack profile is supplied — an interactive canvas flamegraph
-/// with a top-functions (self/total samples) table. The document embeds its data
+/// Joins trajectory + metrics snapshot + trace into one self-contained HTML
+/// file: tuning curve, per-trial table (score, config hash, CPU / wall /
+/// RSS, failure reason), failure summary, cache hit-rate stats, and a
+/// "where the time went" section (critical-path lane + ranked
+/// self/wait/child blame table, computed from the trace via
+/// obs/critical_path.h). Metrics text that is not one JSON object is not
+/// embedded (`metrics_final` stays null). The document embeds its data
 /// as an inline JSON payload and draws with <canvas>; it references no
 /// external assets, so it can be archived or attached to a CI run as a
 /// single file.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <map>
 #include <mutex>
 
@@ -173,14 +172,6 @@ std::string TraceJson() {
   return out;
 }
 
-bool WriteTrace(const std::string& path) {
-  std::string json = TraceJson();
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  return std::fclose(f) == 0 && written == json.size();
-}
-
 void Span::AppendKey(const char* key) {
   if (!args_.empty()) args_ += ',';
   args_ += JsonQuote(key);
@@ -214,8 +205,9 @@ void Span::Arg(const char* key, const std::string& value) {
 void Span::Finish() {
   uint64_t end_us = internal::NowMicros();
   TraceEvent event;
-  if (!owned_.empty()) {
-    // The buffer outlives this span; hand it the owned backing string.
+  if (name_ == owned_.c_str()) {
+    // The buffer outlives this span; hand it the owned backing string
+    // (even an empty one: name_ points into this span).
     event.owned_name = std::move(owned_);
     event.name = nullptr;
   } else {

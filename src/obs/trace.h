@@ -7,8 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/profiler.h"
-
 namespace autoem {
 namespace obs {
 
@@ -30,7 +28,7 @@ namespace obs {
 ///    "pool.task" span), so f.ts - s.ts *is* the task's queue delay and
 ///    Perfetto draws the arrow across threads.
 ///  * thread-name metadata ("ph":"M") — threads registered through
-///    SetCurrentThreadName render as "worker-3" / "flusher" instead of bare
+///    SetCurrentThreadName render as "worker-3" / "main" instead of bare
 ///    tids. Names live in a process-wide registry and are emitted when the
 ///    trace is serialized, so registration order vs StartTracing does not
 ///    matter.
@@ -72,7 +70,7 @@ inline bool TracingEnabled() {
 
 /// Clears the event buffer and starts recording.
 void StartTracing();
-/// Stops recording; the buffer is kept for TraceJson/WriteTrace. Spans that
+/// Stops recording; the buffer is kept for TraceJson. Spans that
 /// are open when tracing stops still record on destruction.
 void StopTracing();
 
@@ -107,7 +105,7 @@ struct TraceContext {
 };
 
 /// Names the calling thread in a process-wide registry ("worker-3",
-/// "flusher", ...). Serialized as Chrome "ph":"M" thread_name metadata by
+/// "main", ...). Serialized as Chrome "ph":"M" thread_name metadata by
 /// TraceJson, so Perfetto labels the track. Cheap (one mutex + map insert,
 /// once per thread); independent of whether tracing is running — names
 /// registered before StartTracing still appear in the trace.
@@ -119,9 +117,8 @@ std::vector<std::pair<unsigned, std::string>> SnapshotThreadNames();
 ///   {"traceEvents":[{"name":...,"ph":"X","ts":...,"dur":...,"pid":1,
 ///                    "tid":...,"args":{...}},...],"displayTimeUnit":"ms"}
 /// Thread-name metadata events lead, then spans and flows in buffer order.
+/// ObsSession writes it to `--trace-out` through io::AtomicWriteFile.
 std::string TraceJson();
-/// Writes TraceJson() to `path`; false on I/O failure.
-bool WriteTrace(const std::string& path);
 
 /// One traced scope. The `const char*` constructor keeps the pointer, so
 /// the name must outlive the span — use string literals. For names built at
@@ -137,33 +134,19 @@ class Span {
       name_ = name;
       start_us_ = internal::NowMicros();
     }
-    // While a CPU profile is being taken, spans also maintain the
-    // per-thread attribution stack the SIGPROF handler reads. Independent
-    // of tracing: profiles attribute by span even with tracing off.
-    if (ProfilingEnabled()) {
-      internal::PushProfilerSpan(name);
-      pushed_ = true;
-    }
   }
   /// Owned-name overload: copies `name`, so callers can pass temporaries
   /// ("trial-" + std::to_string(i)) without lifetime rules. Slightly
-  /// costlier than the literal form (one string copy when tracing or
-  /// profiling is on); still a single relaxed load when both are off.
+  /// costlier than the literal form (one string copy when tracing is on);
+  /// still a single relaxed load when it is off.
   explicit Span(const std::string& name) {
-    if (TracingEnabled() || ProfilingEnabled()) {
+    if (TracingEnabled()) {
       owned_ = name;
-      if (TracingEnabled()) {
-        name_ = owned_.c_str();
-        start_us_ = internal::NowMicros();
-      }
-      if (ProfilingEnabled()) {
-        internal::PushProfilerSpan(owned_.c_str());
-        pushed_ = true;
-      }
+      name_ = owned_.c_str();
+      start_us_ = internal::NowMicros();
     }
   }
   ~Span() {
-    if (pushed_) internal::PopProfilerSpan();
     if (name_ != nullptr) Finish();
   }
 
@@ -186,7 +169,6 @@ class Span {
 
   const char* name_ = nullptr;
   uint64_t start_us_ = 0;
-  bool pushed_ = false;
   std::string owned_;  // backing storage for the owned-name overload
   std::string args_;
 };

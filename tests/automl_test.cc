@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include "automl/automl_em.h"
@@ -13,6 +14,7 @@
 #include "automl/surrogate.h"
 #include "common/rng.h"
 #include "ml/metrics.h"
+#include "obs/trace.h"
 
 namespace autoem {
 namespace {
@@ -283,6 +285,57 @@ TEST(PipelineTest, OversamplingPipelineFits) {
   ASSERT_TRUE(pipeline.ok());
   Dataset train = MakeEmLikeData(150, 16);
   EXPECT_TRUE(pipeline->Fit(train).ok());
+}
+
+// Preprocessing is its own layer in a trace: a traced Fit opens
+// `pipeline.preprocess` under the caller's span and closes it before the
+// classifier fit starts, and the predict-side transforms get
+// `pipeline.transform`.
+TEST(PipelineTest, TracedFitHasPreprocessSpanApartFromTheClassifierFit) {
+  Configuration config = DefaultEmConfiguration(ModelSpace::kRandomForestOnly);
+  config["balancing:strategy"] = "oversample";
+  auto pipeline = EmPipeline::Compile(config);
+  ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+  Dataset train = MakeEmLikeData(200, 17);
+
+  ASSERT_FALSE(obs::TracingEnabled());
+  obs::StartTracing();
+  {
+    obs::Span caller("test.caller");
+    ASSERT_TRUE(pipeline->Fit(train).ok());
+    pipeline->PredictProba(train.X);
+  }
+  obs::StopTracing();
+
+  const obs::TraceEvent* caller = nullptr;
+  const obs::TraceEvent* preprocess = nullptr;
+  const obs::TraceEvent* transform = nullptr;
+  std::vector<obs::TraceEvent> events = obs::SnapshotTraceEvents();
+  std::vector<const obs::TraceEvent*> fits;
+  for (const obs::TraceEvent& e : events) {
+    if (e.ph != 'X') continue;
+    if (std::strcmp(e.label(), "test.caller") == 0) caller = &e;
+    if (std::strcmp(e.label(), "pipeline.preprocess") == 0) {
+      EXPECT_EQ(preprocess, nullptr) << "one preprocess span per Fit";
+      preprocess = &e;
+    }
+    if (std::strcmp(e.label(), "pipeline.transform") == 0) transform = &e;
+    if (std::strcmp(e.label(), "rf.fit") == 0) fits.push_back(&e);
+  }
+  ASSERT_NE(caller, nullptr);
+  ASSERT_NE(preprocess, nullptr);
+  ASSERT_NE(transform, nullptr);
+  ASSERT_FALSE(fits.empty());
+  const uint64_t caller_end = caller->ts_us + caller->dur_us;
+  const uint64_t preprocess_end = preprocess->ts_us + preprocess->dur_us;
+  EXPECT_EQ(preprocess->tid, caller->tid);
+  EXPECT_GE(preprocess->ts_us, caller->ts_us);
+  EXPECT_LE(preprocess_end, caller_end);
+  for (const obs::TraceEvent* fit : fits) {
+    EXPECT_GE(fit->ts_us, preprocess_end) << "rf.fit inside preprocess";
+  }
+  EXPECT_GE(transform->ts_us, preprocess_end);
+  EXPECT_LE(transform->ts_us + transform->dur_us, caller_end);
 }
 
 // ---- evaluator ---------------------------------------------------------------------

@@ -156,7 +156,7 @@ TEST(SearchCheckpointTest, ResourcesRoundTrip) {
   // only in delta terms after a concurrent peak); the field is signed.
   state.history[0].resources.peak_rss_delta_kb = -64;
   state.history[0].resources.allocs = 123456789;
-  // v4 fields: the thread-pool wait/run split.
+  // The thread-pool wait/run split.
   state.history[0].pool_wait_micros = 4242;
   state.history[0].pool_busy_micros = 987654321;
   ASSERT_TRUE(SaveSearchCheckpoint(state, path).ok());
@@ -215,7 +215,7 @@ TEST(SearchCheckpointTest, RejectsPreVersion4Checkpoints) {
   std::remove(path.c_str());
 
   const std::string current = SerializeSearchCheckpoint(MakeCheckpoint());
-  for (uint8_t version : {2, 3}) {
+  for (uint8_t version : {2, 3, 4}) {
     std::string old = current;
     old[4] = static_cast<char>(version);  // u32 version low byte
     auto parsed = DeserializeSearchCheckpoint(old);
@@ -383,7 +383,7 @@ TEST(CheckpointCorruptionTest, CrcFieldDamageRejected) {
 TEST(CheckpointCorruptionTest, CheckpointSeedsReplayCleanly) {
   // Every checked-in AEMK seed must produce a clean Status from both
   // deserializers (valid seeds parse under exactly one kind; search_v1 is
-  // a pre-v4 container and is rejected by both).
+  // a pre-v5 container and is rejected by both).
   for (const auto& seed : fuzz::CheckpointSeeds()) {
     auto search = DeserializeSearchCheckpoint(seed.bytes);
     auto active = DeserializeActiveCheckpoint(seed.bytes);
@@ -405,18 +405,23 @@ TEST(CheckpointCorruptionTest, CheckpointSeedsReplayCleanly) {
           << search.status().ToString();
     }
   }
-  // The AEMK v3 containers kept in the corpus as rejection seeds.
-  for (const char* name : {"active_v2_aemk_v3", "search_v2_aemk_v3",
-                           "search_truncated_aemk_v3"}) {
-    const std::string bytes =
-        MustRead(std::string(AUTOEM_FUZZ_CORPUS_DIR) + "/checkpoint/" + name);
-    ASSERT_FALSE(bytes.empty()) << name;
-    EXPECT_EQ(DeserializeSearchCheckpoint(bytes).status().code(),
-              StatusCode::kInvalidArgument)
-        << name;
-    EXPECT_EQ(DeserializeActiveCheckpoint(bytes).status().code(),
-              StatusCode::kInvalidArgument)
-        << name;
+  // The AEMK v3 and v4 containers kept in the corpus as rejection seeds;
+  // the error names the file's version.
+  for (const char* version : {"3", "4"}) {
+    for (const char* seed : {"active_v2", "search_v2", "search_truncated"}) {
+      const std::string name = std::string(seed) + "_aemk_v" + version;
+      const std::string bytes = MustRead(std::string(AUTOEM_FUZZ_CORPUS_DIR) +
+                                         "/checkpoint/" + name);
+      ASSERT_FALSE(bytes.empty()) << name;
+      auto search = DeserializeSearchCheckpoint(bytes);
+      auto active = DeserializeActiveCheckpoint(bytes);
+      EXPECT_EQ(search.status().code(), StatusCode::kInvalidArgument) << name;
+      EXPECT_EQ(active.status().code(), StatusCode::kInvalidArgument) << name;
+      EXPECT_NE(search.status().message().find(std::string("version ") +
+                                               version + " "),
+                std::string::npos)
+          << name << ": " << search.status().ToString();
+    }
   }
 }
 

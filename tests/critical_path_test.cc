@@ -5,9 +5,11 @@
 // matched by exactly one `f`, blame partition exact, critical path covering
 // the wall clock) must hold for whatever schedule the machine produced.
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -365,6 +367,19 @@ TEST(CausalTraceTest, ThreadNameMetadataInTraceJson) {
   obs::SetCurrentThreadName("main");
   ThreadPool pool(2);  // workers self-register as worker-0 / worker-1
   pool.ParallelFor(4, [](size_t) {});
+  // A worker registers its name when its thread starts, which can come
+  // after the loop above finished on the other worker; wait for both.
+  auto registered = [](const std::string& name) {
+    for (const auto& [tid, n] : obs::SnapshotThreadNames()) {
+      if (n == name) return true;
+    }
+    return false;
+  };
+  for (int i = 0; i < 10000 && !(registered("worker-0") &&
+                                  registered("worker-1"));
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   obs::StartTracing();
   { obs::Span span("anything"); }
   obs::StopTracing();

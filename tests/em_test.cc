@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstring>
 #include <set>
 
 #include "common/rng.h"
@@ -10,6 +11,7 @@
 #include "em/blocking.h"
 #include "em/matcher.h"
 #include "em/pairs_io.h"
+#include "obs/trace.h"
 #include "text/tokenizer.h"
 
 namespace autoem {
@@ -70,6 +72,28 @@ TEST(BlockingTest, QGramSurvivesTypos) {
   ASSERT_TRUE(pairs.ok());
   ASSERT_EQ(pairs->size(), 1u);
   EXPECT_EQ((*pairs)[0].right_id, 0u);
+}
+
+// Blocking is its own layer in a trace: each blocker's Block is one
+// `em.block` span.
+TEST(BlockingTest, EveryBlockerTracesOneBlockSpan) {
+  Table left = MakeRestaurants("A", {{"arnie mortons", "la"}});
+  Table right = MakeRestaurants("B", {{"arnie mortns", "la"}});
+  AttributeEquivalenceBlocker equivalence("city");
+  QGramBlocker qgram("name");
+  SortedNeighborhoodBlocker neighborhood("name", /*window=*/2);
+  const Blocker* blockers[] = {&equivalence, &qgram, &neighborhood};
+  ASSERT_FALSE(obs::TracingEnabled());
+  for (const Blocker* blocker : blockers) {
+    obs::StartTracing();
+    ASSERT_TRUE(blocker->Block(left, right).ok());
+    obs::StopTracing();
+    size_t block_spans = 0;
+    for (const obs::TraceEvent& e : obs::SnapshotTraceEvents()) {
+      block_spans += e.ph == 'X' && std::strcmp(e.label(), "em.block") == 0;
+    }
+    EXPECT_EQ(block_spans, 1u);
+  }
 }
 
 TEST(BlockingTest, QGramRecallOnGeneratedData) {

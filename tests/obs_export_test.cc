@@ -1,20 +1,18 @@
-// Tests for the obs v2 export surface: OpenMetrics text exposition
-// conformance, the background MetricsFlusher (including a multi-thread
-// hammer meant to run under tsan), ResourceProbe accounting, and the
-// self-contained HTML run report.
+// Tests for the obs export surface: ResourceProbe accounting and the
+// self-contained HTML run report, including the metrics snapshot an
+// ObsSession writes.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "automl/config_io.h"
 #include "automl/evaluator.h"
 #include "io/atomic_file.h"
-#include "obs/flusher.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
+#include "obs/obs.h"
 #include "obs/report.h"
 #include "obs/resource.h"
 
@@ -30,247 +28,6 @@ std::string MustRead(const std::string& path) {
   Status st = io::ReadFileToString(path, &bytes);
   EXPECT_TRUE(st.ok()) << st.ToString();
   return bytes;
-}
-
-// Extracts the sample value following `prefix ` on its exposition line.
-double SampleValue(const std::string& exposition, const std::string& prefix) {
-  size_t pos = exposition.find("\n" + prefix + " ");
-  if (pos == std::string::npos && exposition.rfind(prefix + " ", 0) == 0) {
-    pos = 0;
-  } else if (pos != std::string::npos) {
-    pos += 1;  // skip the leading newline
-  } else {
-    ADD_FAILURE() << "no sample line for " << prefix;
-    return -1.0;
-  }
-  return std::strtod(exposition.c_str() + pos + prefix.size() + 1, nullptr);
-}
-
-// ---- OpenMetrics exposition -----------------------------------------------------
-
-TEST(OpenMetricsTest, EmitsTypedFamiliesAndEof) {
-  auto& reg = obs::MetricsRegistry::Global();
-  reg.GetCounter("omtest.requests")->Add(3);
-  reg.GetGauge("omtest.best_f1")->Set(0.75);
-  std::string om = reg.SnapshotOpenMetrics();
-
-  EXPECT_NE(om.find("# TYPE omtest_requests counter\n"), std::string::npos);
-  EXPECT_NE(om.find("omtest_requests_total 3\n"), std::string::npos);
-  EXPECT_NE(om.find("# TYPE omtest_best_f1 gauge\n"), std::string::npos);
-  EXPECT_DOUBLE_EQ(SampleValue(om, "omtest_best_f1"), 0.75);
-  // The exposition must terminate with the EOF marker, nothing after it.
-  ASSERT_GE(om.size(), 6u);
-  EXPECT_EQ(om.substr(om.size() - 6), "# EOF\n");
-}
-
-TEST(OpenMetricsTest, HistogramBucketsAreCumulativeAndEndAtInf) {
-  auto& reg = obs::MetricsRegistry::Global();
-  obs::Histogram* hist =
-      reg.GetHistogram("omtest.latency_ms", {1.0, 10.0});
-  hist->Observe(0.5);    // <= 1
-  hist->Observe(5.0);    // <= 10
-  hist->Observe(100.0);  // overflow
-  std::string om = reg.SnapshotOpenMetrics();
-
-  EXPECT_NE(om.find("# TYPE omtest_latency_ms histogram\n"),
-            std::string::npos);
-  EXPECT_DOUBLE_EQ(SampleValue(om, "omtest_latency_ms_bucket{le=\"1\"}"),
-                   1.0);
-  EXPECT_DOUBLE_EQ(SampleValue(om, "omtest_latency_ms_bucket{le=\"10\"}"),
-                   2.0);
-  // Cumulative: the mandatory terminal +Inf bucket equals _count.
-  EXPECT_DOUBLE_EQ(SampleValue(om, "omtest_latency_ms_bucket{le=\"+Inf\"}"),
-                   3.0);
-  EXPECT_DOUBLE_EQ(SampleValue(om, "omtest_latency_ms_count"), 3.0);
-  EXPECT_DOUBLE_EQ(SampleValue(om, "omtest_latency_ms_sum"), 105.5);
-  // +Inf is the *last* bucket row: no bucket line may follow it.
-  size_t inf_pos = om.find("omtest_latency_ms_bucket{le=\"+Inf\"}");
-  size_t sum_pos = om.find("omtest_latency_ms_sum");
-  ASSERT_NE(inf_pos, std::string::npos);
-  ASSERT_NE(sum_pos, std::string::npos);
-  EXPECT_LT(inf_pos, sum_pos);
-  EXPECT_EQ(om.find("omtest_latency_ms_bucket", inf_pos + 1), std::string::npos);
-}
-
-TEST(OpenMetricsTest, SanitizesNamesToLegalCharset) {
-  auto& reg = obs::MetricsRegistry::Global();
-  reg.GetCounter("omtest.weird-name.v2/x")->Add();
-  std::string om = reg.SnapshotOpenMetrics();
-  // Dots, dashes, and slashes all map to '_'; the original spelling must
-  // not appear anywhere in the exposition.
-  EXPECT_NE(om.find("omtest_weird_name_v2_x_total 1\n"), std::string::npos);
-  EXPECT_EQ(om.find("omtest.weird-name"), std::string::npos);
-}
-
-TEST(OpenMetricsTest, CountersAreMonotonicAcrossSnapshots) {
-  auto& reg = obs::MetricsRegistry::Global();
-  obs::Counter* c = reg.GetCounter("omtest.mono");
-  c->Add(2);
-  double first = SampleValue(reg.SnapshotOpenMetrics(), "omtest_mono_total");
-  c->Add(5);
-  double second = SampleValue(reg.SnapshotOpenMetrics(), "omtest_mono_total");
-  EXPECT_EQ(first, 2.0);
-  EXPECT_EQ(second, 7.0);
-  EXPECT_GE(second, first) << "counter went backwards between snapshots";
-}
-
-TEST(OpenMetricsTest, JsonLineSnapshotIsSingleLine) {
-  auto& reg = obs::MetricsRegistry::Global();
-  reg.GetCounter("omtest.line")->Add();
-  std::string line = reg.SnapshotJsonLine(1.25);
-  EXPECT_EQ(line.rfind("{\"ts_s\": 1.25,", 0), 0u) << line.substr(0, 40);
-  EXPECT_EQ(line.find('\n'), std::string::npos);
-  EXPECT_NE(line.find("\"counters\":"), std::string::npos);
-  EXPECT_NE(line.find("\"omtest.line\": 1"), std::string::npos);
-  EXPECT_EQ(line.back(), '}');
-}
-
-// ---- MetricsFlusher -------------------------------------------------------------
-
-TEST(MetricsFlusherTest, JsonlSeriesGrowsAndFinalSnapshotIsWritten) {
-  std::string path = TempPath("autoem_flush_series.jsonl");
-  std::remove(path.c_str());
-  obs::MetricsRegistry::Global().GetCounter("flushtest.ticks")->Add();
-  {
-    obs::MetricsFlusher::Options options;
-    options.path = path;
-    options.interval_seconds = 3600.0;  // manual flushes only
-    options.format = "jsonl";
-    obs::MetricsFlusher flusher(options);
-    flusher.FlushNow();
-    obs::MetricsRegistry::Global().GetCounter("flushtest.ticks")->Add();
-    flusher.FlushNow();
-    EXPECT_GE(flusher.flush_count(), 2u);
-    // Destructor writes one more (the final, never-torn snapshot).
-  }
-  std::string series = MustRead(path);
-  size_t lines = 0;
-  size_t pos = 0;
-  while ((pos = series.find('\n', pos)) != std::string::npos) {
-    ++lines;
-    ++pos;
-  }
-  EXPECT_GE(lines, 3u);
-  // Every record is one complete JSON object line with a timestamp.
-  size_t start = 0;
-  while (start < series.size()) {
-    size_t end = series.find('\n', start);
-    ASSERT_NE(end, std::string::npos) << "unterminated final line";
-    std::string line = series.substr(start, end - start);
-    EXPECT_EQ(line.rfind("{\"ts_s\":", 0), 0u) << line.substr(0, 40);
-    EXPECT_EQ(line.back(), '}');
-    start = end + 1;
-  }
-  std::remove(path.c_str());
-}
-
-// The flusher exports its own health: a flush counter, a duration histogram
-// (trailing by one flush — a flush cannot know its own duration), and a
-// final-snapshot marker bumped by the destructor, so the last line of the
-// series proves the shutdown flush ran.
-TEST(MetricsFlusherTest, ExportsItsOwnHealthMetrics) {
-  std::string path = TempPath("autoem_flush_health.jsonl");
-  std::remove(path.c_str());
-  {
-    obs::MetricsFlusher::Options options;
-    options.path = path;
-    options.interval_seconds = 3600.0;  // manual flushes only
-    options.format = "jsonl";
-    obs::MetricsFlusher flusher(options);
-    flusher.FlushNow();
-    flusher.FlushNow();
-    flusher.FlushNow();
-  }
-  std::string series = MustRead(path);
-  // Every snapshot after the first carries the running flush counter.
-  EXPECT_NE(series.find("\"obs.flush_count\""), std::string::npos);
-  // The third flush observed the second's duration (trailing histogram), so
-  // the histogram exists in the final snapshot.
-  EXPECT_NE(series.find("\"obs.flush_duration_ms"), std::string::npos);
-  // The destructor's final snapshot is marked.
-  size_t last_line = series.rfind('\n', series.size() - 2);
-  std::string final_line =
-      series.substr(last_line == std::string::npos ? 0 : last_line + 1);
-  EXPECT_NE(final_line.find("\"obs.flush_final\""), std::string::npos)
-      << final_line.substr(0, 200);
-  std::remove(path.c_str());
-}
-
-TEST(MetricsFlusherTest, OpenMetricsFormatEndsWithEof) {
-  std::string path = TempPath("autoem_flush_om.txt");
-  std::remove(path.c_str());
-  obs::MetricsRegistry::Global().GetCounter("flushtest.om_ticks")->Add();
-  {
-    obs::MetricsFlusher::Options options;
-    options.path = path;
-    options.interval_seconds = 3600.0;
-    options.format = "openmetrics";
-    obs::MetricsFlusher flusher(options);
-    flusher.FlushNow();
-  }
-  std::string om = MustRead(path);
-  ASSERT_GE(om.size(), 6u);
-  EXPECT_EQ(om.substr(om.size() - 6), "# EOF\n");
-  EXPECT_NE(om.find("# TYPE "), std::string::npos);
-  std::remove(path.c_str());
-}
-
-TEST(MetricsFlusherTest, BackgroundThreadFlushesOnItsOwn) {
-  std::string path = TempPath("autoem_flush_bg.jsonl");
-  std::remove(path.c_str());
-  obs::MetricsFlusher::Options options;
-  options.path = path;
-  options.interval_seconds = 0.01;
-  options.format = "jsonl";
-  obs::MetricsFlusher flusher(options);
-  for (int i = 0; i < 200 && flusher.flush_count() < 2; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_GE(flusher.flush_count(), 2u) << "background flusher never fired";
-  std::remove(path.c_str());
-}
-
-// The tsan workhorse: 8 writer threads hammer a histogram and a counter
-// while snapshots are taken concurrently — the lock-free shard writes and
-// the flusher's merge must not race.
-TEST(MetricsFlusherTest, ConcurrentHammerWhileFlushing) {
-  std::string path = TempPath("autoem_flush_hammer.jsonl");
-  std::remove(path.c_str());
-  auto& reg = obs::MetricsRegistry::Global();
-  obs::Histogram* hist = reg.GetHistogram("flushtest.hammer_ms");
-  obs::Counter* counter = reg.GetCounter("flushtest.hammer_ops");
-
-  obs::MetricsFlusher::Options options;
-  options.path = path;
-  options.interval_seconds = 0.01;  // keep the background thread busy too
-  options.format = "jsonl";
-  {
-    obs::MetricsFlusher flusher(options);
-    constexpr int kThreads = 8;
-    constexpr int kOpsPerThread = 20000;
-    std::vector<std::thread> writers;
-    writers.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t) {
-      writers.emplace_back([&, t] {
-        for (int i = 0; i < kOpsPerThread; ++i) {
-          hist->Observe(static_cast<double>((t * 31 + i) % 1000));
-          counter->Add();
-        }
-      });
-    }
-    for (int i = 0; i < 50; ++i) flusher.FlushNow();
-    for (std::thread& w : writers) w.join();
-    flusher.FlushNow();
-  }
-  // After all writers joined, the final (destructor) snapshot must account
-  // for every operation.
-  obs::Histogram::Snapshot snap = hist->Snap();
-  EXPECT_EQ(snap.count, 8u * 20000u);
-  EXPECT_EQ(counter->Total(), 8u * 20000u);
-  std::string series = MustRead(path);
-  EXPECT_NE(series.find("\"flushtest.hammer_ops\": 160000"),
-            std::string::npos);
-  std::remove(path.c_str());
 }
 
 // ---- ResourceProbe --------------------------------------------------------------
@@ -370,9 +127,7 @@ TEST(RunReportTest, CoversEveryTrialIncludingFailures) {
 TEST(RunReportTest, IsSelfContained) {
   obs::ReportInputs inputs;
   inputs.trajectory_csv = SerializeTrajectoryCsv(MakeTrajectory());
-  inputs.metrics_text =
-      obs::MetricsRegistry::Global().SnapshotJsonLine(0.5) + "\n" +
-      obs::MetricsRegistry::Global().SnapshotJsonLine(1.0) + "\n";
+  inputs.metrics_text = obs::MetricsRegistry::Global().SnapshotJson();
   inputs.trace_json =
       "[\n{\"name\":\"automl.trial\",\"cat\":\"autoem\",\"ph\":\"X\","
       "\"pid\":1,\"tid\":1,\"ts\":10,\"dur\":250}\n]\n";
@@ -384,8 +139,8 @@ TEST(RunReportTest, IsSelfContained) {
   EXPECT_NE(html.find("<canvas"), std::string::npos);
   EXPECT_NE(html.find("<script id=\"payload\" type=\"application/json\">"),
             std::string::npos);
-  // The metrics series and trace summary made it into the payload.
-  EXPECT_NE(html.find("\"metrics_series\""), std::string::npos);
+  // The metrics snapshot and trace summary made it into the payload.
+  EXPECT_NE(html.find("\"metrics_final\":{"), std::string::npos);
   EXPECT_NE(html.find("automl.trial"), std::string::npos);
 }
 
@@ -428,23 +183,58 @@ TEST(RunReportTest, TrajectoryFieldsOutsideTheNumberGrammarAreQuoted) {
   EXPECT_NE(payload.find("\"test_f1\":-2e-3"), std::string::npos);
 }
 
-TEST(RunReportTest, MetricsLinesThatDoNotParseStayRawText) {
+TEST(RunReportTest, MetricsThatAreNotOneJsonObjectAreNotEmbedded) {
   obs::ReportInputs inputs;
   inputs.trajectory_csv = SerializeTrajectoryCsv(MakeTrajectory());
-  inputs.metrics_text = "{\"a\":1}\n{\"b\":}";
-  std::string payload = ReportPayload(obs::BuildRunReportHtml(inputs));
-  Status parsed = obs::ValidateJson(payload);
-  EXPECT_TRUE(parsed.ok()) << parsed.ToString() << "\n" << payload;
-  EXPECT_NE(payload.find("\"metrics_series\":null"), std::string::npos);
-  EXPECT_NE(payload.find("\"metrics_final\":null"), std::string::npos);
-  EXPECT_NE(payload.find("\"metrics_raw\":\"{\\\"a\\\":1}\\n{\\\"b\\\":}\""),
-            std::string::npos);
+  // A broken line, a JSONL series, an OpenMetrics exposition, a JSON array:
+  // none is the one snapshot object --metrics-out writes, so none is
+  // embedded, neither as a series nor as raw text.
+  for (const char* text :
+       {"{\"a\":1}\n{\"b\":}", "{\"a\":1}\n{\"a\":2}\n",
+        "# TYPE x counter\nx_total 3\n# EOF\n", "[{\"a\":1}]"}) {
+    inputs.metrics_text = text;
+    std::string payload = ReportPayload(obs::BuildRunReportHtml(inputs));
+    Status parsed = obs::ValidateJson(payload);
+    EXPECT_TRUE(parsed.ok()) << parsed.ToString() << "\n" << payload;
+    EXPECT_NE(payload.find("\"metrics_final\":null"), std::string::npos)
+        << text;
+    EXPECT_EQ(payload.find("metrics_series"), std::string::npos) << text;
+    EXPECT_EQ(payload.find("metrics_raw"), std::string::npos) << text;
+    EXPECT_EQ(payload.find("\"a\":"), std::string::npos) << text;
+  }
 
-  // Well-formed lines are still a series.
-  inputs.metrics_text = "{\"a\":1}\n{\"a\":2}\n";
-  payload = ReportPayload(obs::BuildRunReportHtml(inputs));
+  // One JSON object is embedded as it stands.
+  inputs.metrics_text = "  {\"a\":2}\n";
+  std::string payload = ReportPayload(obs::BuildRunReportHtml(inputs));
   EXPECT_TRUE(obs::ValidateJson(payload).ok()) << payload;
   EXPECT_NE(payload.find("\"metrics_final\":{\"a\":2}"), std::string::npos);
+}
+
+TEST(RunReportTest, MetricsOutSnapshotFillsMetricsFinal) {
+  // The file an ObsSession writes for --metrics-out is what the report's
+  // summary and cache cards read.
+  obs::MetricsRegistry::Global()
+      .GetCounter("features.token_cache_hits")
+      ->Add(7);
+  std::string path = TempPath("obs_export_report_metrics.json");
+  {
+    obs::ObsOptions options;
+    options.metrics_path = path;
+    obs::ObsSession session(options);
+  }
+  obs::ReportInputs inputs;
+  inputs.trajectory_csv = SerializeTrajectoryCsv(MakeTrajectory());
+  inputs.metrics_text = MustRead(path);
+  ASSERT_TRUE(obs::ValidateJson(inputs.metrics_text).ok())
+      << inputs.metrics_text;
+  std::string payload = ReportPayload(obs::BuildRunReportHtml(inputs));
+  ASSERT_TRUE(obs::ValidateJson(payload).ok()) << payload;
+  size_t final_at = payload.find("\"metrics_final\":{");
+  ASSERT_NE(final_at, std::string::npos) << payload;
+  size_t hits_at = payload.find("\"features.token_cache_hits\": ", final_at);
+  ASSERT_NE(hits_at, std::string::npos) << payload;
+  EXPECT_NE(payload.find("\"counters\": {", final_at), std::string::npos);
+  std::remove(path.c_str());
 }
 
 TEST(RunReportTest, MinimalTrajectoryOnlyReportStillBuilds) {

@@ -328,6 +328,21 @@ TEST(TraceTest, SpansNestAndJsonParses) {
   EXPECT_NE(json.find("\"trial\":3"), std::string::npos);
 }
 
+TEST(TraceTest, EmptyRuntimeNameIsOwnedByTheEvent) {
+  // An owned name that is empty must still be handed to the buffer: the
+  // span's own storage is gone by the time the trace is serialized.
+  obs::StartTracing();
+  { obs::Span span(std::string("")); }
+  obs::StopTracing();
+  std::vector<obs::TraceEvent> events = obs::SnapshotTraceEvents();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].name, nullptr);
+  EXPECT_STREQ(events[0].label(), "");
+  std::string json = obs::TraceJson();
+  EXPECT_TRUE(IsValidJson(json)) << json;
+  EXPECT_NE(json.find("\"name\":\"\""), std::string::npos) << json;
+}
+
 TEST(TraceTest, WorkerThreadSpansCarryDistinctTids) {
   obs::StartTracing();
   {
@@ -353,11 +368,18 @@ TEST(TraceTest, WorkerThreadSpansCarryDistinctTids) {
 }
 
 TEST(TraceTest, WriteTraceProducesLoadableFile) {
-  obs::StartTracing();
-  { AUTOEM_SPAN("test.file_span"); }
-  obs::StopTracing();
+  // The trace file is written by the session that started tracing, through
+  // the atomic writer: no temporary is left next to it.
+  ASSERT_FALSE(obs::TracingEnabled());
   std::string path = TempPath("obs_test_trace.json");
-  ASSERT_TRUE(obs::WriteTrace(path));
+  {
+    obs::ObsOptions options;
+    options.trace_path = path;
+    obs::ObsSession session(options);
+    AUTOEM_SPAN("test.file_span");
+  }
+  EXPECT_FALSE(obs::TracingEnabled());
+  EXPECT_FALSE(std::ifstream(path + ".tmp").good());
   std::string content = ReadFile(path);
   EXPECT_TRUE(IsValidJson(content)) << content;
   EXPECT_NE(content.find("test.file_span"), std::string::npos);
@@ -513,7 +535,7 @@ TEST(TrajectoryTest, SerializeTrajectoryCsvFormat) {
   EXPECT_EQ(line,
             "trial,elapsed_seconds,fit_seconds,valid_f1,test_f1,"
             "best_f1_so_far,config_hash,cpu_seconds,peak_rss_delta_kb,"
-            "allocs,profile_samples,pool_wait_micros,pool_busy_micros,"
+            "allocs,pool_wait_micros,pool_busy_micros,"
             "failure");
   ASSERT_TRUE(std::getline(in, line));
   EXPECT_EQ(line.substr(0, 2), "0,");

@@ -15,7 +15,6 @@
 #include "datagen/benchmark_gen.h"
 #include "features/feature_gen.h"
 #include "ml/models/random_forest.h"
-#include "obs/profiler.h"
 #include "obs/resource.h"
 #include "obs/trace.h"
 
@@ -172,54 +171,6 @@ TEST(ParallelDeterminismTest, InferenceParallelismAloneChangesNothing) {
     ExpectBitIdentical(serial, rf.PredictProba(train.X),
                        "inference @" + std::to_string(threads));
   }
-}
-
-// The profiler is measurement-only: interrupting the hot paths with SIGPROF
-// at a high rate must not perturb a single output bit. Feature generation
-// and a forest fit/predict run once clean and once under an active profile;
-// both the matrix and the probabilities must match memcmp-exactly.
-TEST(ParallelDeterminismTest, ProfilingChangesNoOutputBits) {
-  BenchmarkData data = MakeBenchmark();
-  AutoMlEmFeatureGenerator gen(/*include_tfidf=*/true);
-  gen.set_parallelism(Parallelism::Threads(4));
-  ASSERT_TRUE(gen.Plan(data.train.left, data.train.right).ok());
-
-  auto run_once = [&] {
-    Dataset train = gen.Generate(data.train);
-    RandomForestOptions opt;
-    opt.n_estimators = 16;
-    opt.seed = 42;
-    opt.parallelism = Parallelism::Threads(4);
-    RandomForestClassifier rf(opt);
-    EXPECT_TRUE(rf.Fit(train.X, train.y).ok());
-    return std::make_pair(std::move(train), rf.PredictProba(train.X));
-  };
-
-  ASSERT_FALSE(obs::ProfilingEnabled());
-  auto [clean_train, clean_proba] = run_once();
-
-  obs::ProfilerOptions options;
-  options.hz = 997.0;
-  ASSERT_TRUE(obs::StartProfiling(options));
-  auto [profiled_train, profiled_proba] = run_once();
-  // The vectorized kernels can finish one run in less CPU time than a
-  // single 997 Hz sampling interval; repeat identical work until at least
-  // one SIGPROF lands so the non-vacuousness check below stays meaningful.
-  // Every repeat must still reproduce the same bits.
-  for (int i = 0; i < 200 && obs::ProfileSampleCount() == 0; ++i) {
-    auto [extra_train, extra_proba] = run_once();
-    ExpectBitIdentical(profiled_train.X, extra_train.X,
-                       "feature matrix repeat under profiler");
-    ExpectBitIdentical(profiled_proba, extra_proba,
-                       "proba repeat under profiler");
-  }
-  obs::StopProfiling();
-
-  ExpectBitIdentical(clean_train.X, profiled_train.X,
-                     "feature matrix under profiler");
-  ExpectBitIdentical(clean_proba, profiled_proba, "proba under profiler");
-  // And the profile actually sampled the run — this leg is not vacuous.
-  EXPECT_GT(obs::ProfileSampleCount(), 0u);
 }
 
 // Causal tracing (obs v4) is measurement-only too: with span + flow tracing
